@@ -20,6 +20,7 @@ class VirtualClock final : public Clock {
  public:
   [[nodiscard]] double now() const override { return time_; }
   void advance(double seconds) noexcept { time_ += seconds; }
+  void set(double seconds) noexcept { time_ = seconds; }
   void reset() noexcept { time_ = 0.0; }
 
  private:

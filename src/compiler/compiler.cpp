@@ -55,59 +55,82 @@ Compiler::Compiler(const flags::FlagSpace& space, machine::Architecture arch,
 CompiledModule Compiler::compile(const ir::LoopModule& module,
                                  const flags::CompilationVector& cv,
                                  const PgoProfile* pgo) {
+  return compile_counted(module, cv, pgo, nullptr);
+}
+
+CompiledModule Compiler::compile_counted(const ir::LoopModule& module,
+                                         const flags::CompilationVector& cv,
+                                         const PgoProfile* pgo,
+                                         bool* compiled) {
   const bool pgo_valid = pgo != nullptr && pgo->valid;
   std::uint64_t key = cv.hash();
   key ^= support::fnv1a64(module.name);
   if (pgo_valid) key ^= 0xa5a5a5a5a5a5a5a5ULL;
 
+  CompiledModule object;
+  bool inserted = false;
   {
-    std::lock_guard lock(cache_mutex_);
+    std::unique_lock lock(cache_mutex_);
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
-      ++cache_hits_;
-      if (telemetry::enabled()) {
-        // Hit/miss split races under parallel batches (two threads can
-        // both miss the same key), so these are snapshot-only metrics.
-        static telemetry::Counter& hits = telemetry::metrics().counter(
-            "compiler.cache_hits", /*deterministic=*/false);
-        hits.add();
-      }
-      return it->second;
+      // Rebuild the object around the caller's module and CV.
+      object.settings = it->second.settings;
+      object.codegen = it->second.codegen;
+      lock.unlock();
+      object.module_name = module.name;
+      object.cv = cv;
+      object.is_loop = module.is_loop;
+    } else {
+      lock.unlock();
+      object = compile_module(module, cv, space_->decode(cv), arch_,
+                              personality_, pgo);
+      lock.lock();
+      inserted =
+          cache_.try_emplace(key, CacheEntry{object.settings, object.codegen})
+              .second;
     }
-    ++cache_misses_;
   }
+  // A miss is a module this call put in the cache. A racing compile of
+  // the same key that lost the insert counts as a hit, so both totals
+  // depend only on which modules were compiled, never on timing.
+  (inserted ? cache_misses_ : cache_hits_)
+      .fetch_add(1, std::memory_order_relaxed);
+  if (compiled) *compiled = inserted;
   if (telemetry::enabled()) {
-    static telemetry::Counter& misses = telemetry::metrics().counter(
-        "compiler.cache_misses", /*deterministic=*/false);
-    misses.add();
-  }
-
-  CompiledModule object = compile_module(module, cv, space_->decode(cv),
-                                         arch_, personality_, pgo);
-  {
-    std::lock_guard lock(cache_mutex_);
-    cache_.emplace(key, object);
+    static telemetry::Counter& hits =
+        telemetry::metrics().counter("compiler.cache_hits");
+    static telemetry::Counter& misses =
+        telemetry::metrics().counter("compiler.cache_misses");
+    (inserted ? misses : hits).add();
   }
   return object;
 }
 
 Executable Compiler::build(const ir::Program& program,
                            const ModuleAssignment& assignment,
-                           const PgoProfile* pgo) {
+                           const PgoProfile* pgo,
+                           std::size_t* modules_compiled) {
   if (assignment.loop_cvs.size() != program.loops().size()) {
     throw std::invalid_argument(
         "build: assignment has " + std::to_string(assignment.loop_cvs.size()) +
         " loop CVs but program has " +
         std::to_string(program.loops().size()) + " loops");
   }
+  std::size_t compiled_here = 0;
+  bool compiled = false;
   std::vector<CompiledModule> loop_objects;
   loop_objects.reserve(program.loops().size());
   for (std::size_t j = 0; j < program.loops().size(); ++j) {
     loop_objects.push_back(
-        compile(program.loops()[j], assignment.loop_cvs[j], pgo));
+        compile_counted(program.loops()[j], assignment.loop_cvs[j], pgo,
+                        &compiled));
+    compiled_here += compiled ? 1 : 0;
   }
   const CompiledModule nonloop_object =
-      compile(program.nonloop(), assignment.nonloop_cv, pgo);
+      compile_counted(program.nonloop(), assignment.nonloop_cv, pgo,
+                      &compiled);
+  compiled_here += compiled ? 1 : 0;
+  if (modules_compiled) *modules_compiled = compiled_here;
   if (telemetry::enabled()) {
     static telemetry::Counter& builds =
         telemetry::metrics().counter("compiler.builds");
@@ -135,8 +158,8 @@ Executable Compiler::build_baseline(const ir::Program& program) {
 void Compiler::clear_cache() {
   std::lock_guard lock(cache_mutex_);
   cache_.clear();
-  cache_hits_ = 0;
-  cache_misses_ = 0;
+  cache_hits_.store(0, std::memory_order_relaxed);
+  cache_misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ft::compiler

@@ -3,6 +3,7 @@
 // same CV thousands of times across search iterations).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -48,9 +49,13 @@ class Compiler {
                                        const PgoProfile* pgo = nullptr);
 
   /// Compiles all modules of `program` per the assignment and links.
+  /// `modules_compiled`, when given, receives how many of the modules
+  /// this call compiled into the cache (its own misses, exact under
+  /// concurrent builds).
   [[nodiscard]] Executable build(const ir::Program& program,
                                  const ModuleAssignment& assignment,
-                                 const PgoProfile* pgo = nullptr);
+                                 const PgoProfile* pgo = nullptr,
+                                 std::size_t* modules_compiled = nullptr);
 
   /// Convenience: traditional per-program compilation with a single CV.
   [[nodiscard]] Executable build_uniform(const ir::Program& program,
@@ -68,25 +73,40 @@ class Compiler {
     return link_options_;
   }
 
-  /// Number of pipeline executions that were served from the cache.
+  /// compile() calls served from the cache, and calls that put a new
+  /// module in it. A compile that raced another of the same module and
+  /// lost the insert is a hit, so the totals are thread-invariant.
   [[nodiscard]] std::size_t cache_hits() const noexcept {
-    return cache_hits_;
+    return cache_hits_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t cache_misses() const noexcept {
-    return cache_misses_;
+    return cache_misses_.load(std::memory_order_relaxed);
   }
   void clear_cache();
 
  private:
+  /// What compile_module() derived from the CV; the rest of a
+  /// CompiledModule is the caller's module and CV.
+  struct CacheEntry {
+    flags::SemanticSettings settings;
+    LoopCodeGen codegen;
+  };
+
+  /// compile(); `compiled` (if given) says whether this call put the
+  /// module in the cache.
+  CompiledModule compile_counted(const ir::LoopModule& module,
+                                 const flags::CompilationVector& cv,
+                                 const PgoProfile* pgo, bool* compiled);
+
   const flags::FlagSpace* space_;
   machine::Architecture arch_;
   Personality personality_;
   LinkOptions link_options_;
 
   mutable std::mutex cache_mutex_;
-  std::unordered_map<std::uint64_t, CompiledModule> cache_;
-  std::size_t cache_hits_ = 0;
-  std::size_t cache_misses_ = 0;
+  std::unordered_map<std::uint64_t, CacheEntry> cache_;
+  std::atomic<std::size_t> cache_hits_{0};
+  std::atomic<std::size_t> cache_misses_{0};
 };
 
 }  // namespace ft::compiler

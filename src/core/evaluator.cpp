@@ -120,15 +120,9 @@ EvalBackend::RawResult Evaluator::raw_run(
   if (backend_) return backend_->run(assignment, options);
   // Engine and compiler are internally synchronized; this is safe from
   // evaluate_batch workers.
-  compiler::Compiler& compiler = engine_->compiler();
-  const std::size_t misses_before = compiler.cache_misses();
-  const compiler::Executable exe =
-      compiler.build(engine_->program(), assignment);
-  // Under parallel batches the delta may misattribute individual
-  // misses between concurrent evaluations, but the accumulated total
-  // (what §4.3 reports) stays exact.
   EvalBackend::RawResult raw;
-  raw.modules_compiled = compiler.cache_misses() - misses_before;
+  const compiler::Executable exe = engine_->compiler().build(
+      engine_->program(), assignment, nullptr, &raw.modules_compiled);
   raw.result = engine_->run(exe, *input_, options);
   return raw;
 }

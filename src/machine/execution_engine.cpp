@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "support/stats.hpp"
 #include "telemetry/metrics.hpp"
@@ -20,7 +22,12 @@ ExecutionEngine::ExecutionEngine(const ir::Program& program,
       attribution_noise_(noise.seed() ^ 0x5bd1e995u, attribution_sigma,
                          0.0),
       caliper_overhead_(caliper_overhead_per_event),
-      baseline_(compiler.build_baseline(program)) {}
+      baseline_(compiler.build_baseline(program)) {
+  loop_regions_.reserve(program.loops().size());
+  for (const ir::LoopModule& loop : program.loops()) {
+    loop_regions_.push_back(regions_.intern(loop.name));
+  }
+}
 
 const std::vector<double>& ExecutionEngine::calibration(
     const ir::InputSpec& input) {
@@ -71,6 +78,16 @@ RunResult ExecutionEngine::run(const compiler::Executable& exe,
   std::vector<double> end_samples;
   end_samples.reserve(static_cast<std::size_t>(reps));
   std::uint64_t outliers = 0;
+  std::vector<double> measured(loop_count + 1);
+
+  // Instrumented runs drive the Caliper library over a virtual clock:
+  // per-loop times are whatever Caliper aggregates, annotation overhead
+  // included. One collector serves every repetition (reset in between).
+  caliper::VirtualClock clock;
+  std::optional<caliper::Caliper> caliper;
+  if (options.instrumented) {
+    caliper.emplace(regions_, &clock, caliper_overhead_);
+  }
 
   for (int rep = 0; rep < reps; ++rep) {
     const std::uint64_t rep_index =
@@ -88,7 +105,6 @@ RunResult ExecutionEngine::run(const compiler::Executable& exe,
     if (spike != 1.0) ++outliers;
 
     // Measured per-module times for this repetition.
-    std::vector<double> measured(loop_count + 1);
     for (std::size_t j = 0; j <= loop_count; ++j) {
       const std::string& module_name = j < loop_count
                                            ? program_->loops()[j].name
@@ -105,36 +121,30 @@ RunResult ExecutionEngine::run(const compiler::Executable& exe,
 
     double end_to_end;
     if (options.instrumented) {
-      // Drive the Caliper library over a virtual clock: per-loop times
-      // are whatever Caliper aggregates, annotation overhead included.
-      caliper::VirtualClock clock;
-      caliper::Caliper caliper(&clock, caliper_overhead_);
+      clock.reset();
+      caliper->reset();
       const int steps = std::max(input.timesteps, 1);
-      for (int step = 0; step < steps; ++step) {
-        for (std::size_t j = 0; j < loop_count; ++j) {
-          caliper.begin(program_->loops()[j].name);
-          clock.advance(measured[j] / static_cast<double>(steps));
-          caliper.end(program_->loops()[j].name);
-        }
-        // Non-loop code is scattered and unannotated: it advances the
-        // clock without a region (paper §3.3).
-        clock.advance(measured[loop_count] / static_cast<double>(steps));
-      }
+      for (double& slice : measured) slice /= static_cast<double>(steps);
+      // Each time step runs every loop in its region (begin, its slice
+      // of work, end); non-loop code is scattered and unannotated, so it
+      // advances the clock without a region (paper §3.3).
+      caliper->run_regions(
+          loop_regions_, std::span<const double>(measured.data(), loop_count),
+          steps, measured[loop_count]);
       end_to_end = clock.now();
       for (std::size_t j = 0; j < loop_count; ++j) {
         // Per-region readings carry attribution error on top of the
         // run's physical time (which stayed in end_to_end).
-        const std::string& loop_name = program_->loops()[j].name;
-        double reading = caliper.inclusive(loop_name);
+        double reading = caliper->inclusive(loop_regions_[j]);
         if (options.noise) {
           reading = attribution_noise_.perturb(
-              reading, NoiseModel::make_key(exe.fingerprint, loop_name,
+              reading, NoiseModel::make_key(exe.fingerprint,
+                                            program_->loops()[j].name,
                                             input.name, arch_name,
                                             rep_index ^ 0xa7c15ULL));
         }
         result.loop_seconds[j] += reading;
       }
-      if (rep == reps - 1) result.caliper_report = caliper.report();
     } else {
       end_to_end =
           std::accumulate(measured.begin(), measured.end(), 0.0);

@@ -8,7 +8,8 @@
 //  * Instrumented runs drive the ft_caliper library over a virtual
 //    clock: region events carry the modeled annotation overhead (<3%),
 //    and the reported per-loop times are what Caliper aggregated - the
-//    tuner never reads the ground truth directly.
+//    tuner never reads the ground truth directly. Loop names are
+//    interned to Caliper region ids once, when the engine is built.
 //  * Non-loop time is NOT directly measurable (paper §3.3); RunResult
 //    exposes the derived value (end-to-end minus loop sum).
 //  * Measurement noise is deterministic per (executable, input, arch,
@@ -48,7 +49,9 @@ struct RunResult {
   std::vector<double> loop_seconds; ///< per hot loop (program order)
   double derived_nonloop_seconds = 0.0;  ///< end_to_end - sum(loops)
   double stddev = 0.0;              ///< of end_to_end across repetitions
-  std::string caliper_report;       ///< non-empty for instrumented runs
+  /// Rendered Caliper report. run() leaves it empty (nothing reads it
+  /// on the evaluation path); caliper::Caliper::report() renders one.
+  std::string caliper_report;
 };
 
 class ExecutionEngine {
@@ -118,6 +121,8 @@ class ExecutionEngine {
   FaultModel faults_;
   double caliper_overhead_;
   compiler::Executable baseline_;
+  caliper::RegionTable regions_;  ///< the program's loop names
+  std::vector<caliper::RegionId> loop_regions_;  ///< per loop (program order)
   std::map<std::string, std::vector<double>> calibration_cache_;
   std::mutex calibration_mutex_;
 };

@@ -3,10 +3,14 @@
 // decisions, personalities, and the compile cache.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "compiler/compiler.hpp"
 #include "compiler/pipeline.hpp"
 #include "flags/spaces.hpp"
 #include "machine/architecture.hpp"
+#include "programs/benchmarks.hpp"
 #include "support/rng.hpp"
 
 namespace ft::compiler {
@@ -330,6 +334,61 @@ TEST(Compiler, CacheHitsOnRepeatedCompile) {
   EXPECT_EQ(compiler.cache_hits(), 1u);
   compiler.clear_cache();
   EXPECT_EQ(compiler.cache_hits(), 0u);
+}
+
+TEST(Compiler, CacheHitRebuildsTheCompiledObject) {
+  const flags::FlagSpace space = flags::icc_space();
+  Compiler compiler(space, machine::broadwell());
+  ir::LoopModule nonloop = clean_loop();
+  nonloop.is_loop = false;
+  support::Rng rng(11);
+  const flags::CompilationVector cv = space.sample(rng);
+  const CompiledModule fresh =
+      compile_module(nonloop, cv, space.decode(cv), machine::broadwell(),
+                     Personality::kIcc);
+  (void)compiler.compile(nonloop, cv);
+  const CompiledModule hit = compiler.compile(nonloop, cv);
+  EXPECT_EQ(compiler.cache_hits(), 1u);
+  EXPECT_EQ(hit.module_name, fresh.module_name);
+  EXPECT_EQ(hit.cv, fresh.cv);
+  EXPECT_EQ(hit.settings.values, fresh.settings.values);
+  EXPECT_EQ(hit.codegen.hash(), fresh.codegen.hash());
+  EXPECT_FALSE(hit.is_loop);
+}
+
+TEST(Compiler, ConcurrentBuildsCountEachMissOnce) {
+  // Threads build overlapping assignments on one compiler. Each module
+  // (name, CV) is a miss exactly once, and the misses each build reports
+  // add up to the compiler's total, whatever the interleaving.
+  const flags::FlagSpace space = flags::icc_space();
+  const ir::Program program = programs::cloverleaf();
+  Compiler compiler(space, machine::broadwell());
+  support::Rng rng(12);
+  std::vector<flags::CompilationVector> cvs;
+  for (int i = 0; i < 8; ++i) cvs.push_back(space.sample(rng));
+  constexpr int kThreads = 4;
+  constexpr int kBuilds = 40;
+  std::atomic<std::size_t> reported{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int b = 0; b < kBuilds; ++b) {
+        const flags::CompilationVector& cv =
+            cvs[static_cast<std::size_t>(t + b) % cvs.size()];
+        std::size_t misses = 0;
+        (void)compiler.build(
+            program, ModuleAssignment::uniform(cv, program.loops().size()),
+            nullptr, &misses);
+        reported += misses;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::size_t modules = program.loops().size() + 1;
+  EXPECT_EQ(compiler.cache_misses(), cvs.size() * modules);
+  EXPECT_EQ(reported.load(), compiler.cache_misses());
+  EXPECT_EQ(compiler.cache_hits() + compiler.cache_misses(),
+            std::size_t{kThreads} * kBuilds * modules);
 }
 
 TEST(Compiler, CacheKeyIncludesPgo) {

@@ -4,6 +4,7 @@
 // engine's calibration and Caliper integration.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "compiler/compiler.hpp"
@@ -13,6 +14,7 @@
 #include "machine/execution_engine.hpp"
 #include "machine/noise.hpp"
 #include "programs/benchmarks.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 
 namespace ft::machine {
@@ -334,7 +336,8 @@ TEST_F(EngineTest, InstrumentedRunCarriesOverheadAndReport) {
                                   program_.tuning_input(), instrumented);
   EXPECT_GT(i.end_to_end, p.end_to_end);            // annotation cost
   EXPECT_LT(i.end_to_end, p.end_to_end * 1.03);     // < 3% (paper §3.3)
-  EXPECT_FALSE(i.caliper_report.empty());
+  // The report is rendered on demand (Caliper::report()), never per run.
+  EXPECT_TRUE(i.caliper_report.empty());
   EXPECT_TRUE(p.caliper_report.empty());
 }
 
@@ -380,6 +383,119 @@ TEST_F(EngineTest, BaselineSecondsAveragesReps) {
   const double seconds =
       engine_.baseline_seconds(program_.tuning_input(), 10);
   EXPECT_NEAR(seconds, program_.tuning_input().o3_seconds, 0.5);
+}
+
+// ------------------------------------- Caliper replay bit-identity ----
+
+/// Reference for an instrumented, noise-free engine run: one Caliper
+/// per repetition driven through the string API, the clock advanced by
+/// measured/steps between each begin and end. The engine must
+/// reproduce it bit for bit.
+RunResult replay_through_string_api(ExecutionEngine& engine,
+                                    const compiler::Executable& exe,
+                                    const ir::InputSpec& input, int reps,
+                                    double overhead_per_event) {
+  const ir::Program& program = engine.program();
+  const std::vector<double> measured = engine.true_module_seconds(exe, input);
+  const std::size_t loop_count = program.loops().size();
+  RunResult result;
+  result.loop_seconds.assign(loop_count, 0.0);
+  std::vector<double> end_samples;
+  for (int rep = 0; rep < reps; ++rep) {
+    caliper::VirtualClock clock;
+    caliper::Caliper caliper(&clock, overhead_per_event);
+    const int steps = std::max(input.timesteps, 1);
+    for (int step = 0; step < steps; ++step) {
+      for (std::size_t j = 0; j < loop_count; ++j) {
+        caliper.begin(program.loops()[j].name);
+        clock.advance(measured[j] / static_cast<double>(steps));
+        caliper.end(program.loops()[j].name);
+      }
+      clock.advance(measured[loop_count] / static_cast<double>(steps));
+    }
+    end_samples.push_back(clock.now());
+    for (std::size_t j = 0; j < loop_count; ++j) {
+      result.loop_seconds[j] += caliper.inclusive(program.loops()[j].name);
+    }
+  }
+  for (double& loop_second : result.loop_seconds) {
+    loop_second /= static_cast<double>(reps);
+  }
+  result.end_to_end = support::mean(end_samples);
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(EngineCaliper, InstrumentedRunsMatchStringApiReplay) {
+  const flags::FlagSpace space = flags::icc_space();
+  support::Rng rng(0x5eed);
+  for (const ir::Program& program : programs::suite()) {
+    for (const Architecture& arch : all_architectures()) {
+      compiler::Compiler compiler(space, arch);
+      ExecutionEngine engine(program, compiler);
+      const compiler::Executable tuned =
+          compiler.build_uniform(program, space.sample(rng));
+      for (const compiler::Executable* exe : {&engine.baseline(), &tuned}) {
+        for (const ir::InputSpec& input : program.inputs()) {
+          for (int reps : {1, 3}) {
+            RunOptions options;
+            options.instrumented = true;
+            options.noise = false;
+            options.repetitions = reps;
+            const RunResult got = engine.run(*exe, input, options);
+            const RunResult want =
+                replay_through_string_api(engine, *exe, input, reps, 2e-4);
+            const std::string where =
+                program.name() + " on " + arch.name + ", input " + input.name;
+            EXPECT_TRUE(same_bits(got.end_to_end, want.end_to_end)) << where;
+            ASSERT_EQ(got.loop_seconds.size(), want.loop_seconds.size());
+            for (std::size_t j = 0; j < got.loop_seconds.size(); ++j) {
+              EXPECT_TRUE(
+                  same_bits(got.loop_seconds[j], want.loop_seconds[j]))
+                  << where << ", loop " << program.loops()[j].name;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineCaliper, SameNamedLoopsShareOneRegionReading) {
+  auto loop = [](double ratio, double flops) {
+    ir::LoopModule m;
+    m.name = "dup";
+    m.o3_ratio = ratio;
+    m.features.flops_per_iter = flops;
+    m.features.trip_count = 4000;
+    return m;
+  };
+  ir::LoopModule nonloop = loop(0.4, 10);
+  nonloop.name = "nonloop";
+  ir::InputSpec tuning;
+  tuning.name = "tuning";
+  const ir::Program program("twins", "C", 1, {loop(0.35, 20), loop(0.25, 40)},
+                            nonloop, {tuning});
+  const flags::FlagSpace space = flags::icc_space();
+  compiler::Compiler compiler(space, broadwell());
+  ExecutionEngine engine(program, compiler);
+  RunOptions options;
+  options.instrumented = true;
+  options.noise = false;
+  const RunResult result = engine.run(engine.baseline(), tuning, options);
+  ASSERT_EQ(result.loop_seconds.size(), 2u);
+  // One region "dup" aggregates both loops, so both read its total.
+  EXPECT_TRUE(same_bits(result.loop_seconds[0], result.loop_seconds[1]));
+  const std::vector<double> truth =
+      engine.true_module_seconds(engine.baseline(), tuning);
+  EXPECT_GT(result.loop_seconds[0], truth[0] + truth[1]);
+  const RunResult want =
+      replay_through_string_api(engine, engine.baseline(), tuning, 1, 2e-4);
+  EXPECT_TRUE(same_bits(result.loop_seconds[0], want.loop_seconds[0]));
+  EXPECT_TRUE(same_bits(result.end_to_end, want.end_to_end));
 }
 
 }  // namespace
