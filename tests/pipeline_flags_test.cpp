@@ -76,7 +76,7 @@ TEST_P(MinorFlag, EffectDirection) {
 INSTANTIATE_TEST_SUITE_P(
     AllMinorFlags, MinorFlag,
     ::testing::Values(
-        FlagCase{"scalar-rep off hurts", "-no-scalar-rep",
+        FlagCase{"scalar-rep off hurts the default loop", "-no-scalar-rep",
                  [](ir::LoopFeatures&) {}, false},
         FlagCase{"fusion off hurts fusable shared-data loops",
                  "-qno-loop-fusion",
@@ -89,11 +89,13 @@ INSTANTIATE_TEST_SUITE_P(
                  [](ir::LoopFeatures& f) { f.body_size = 90; }, true},
         FlagCase{"distribution hurts small bodies", "-qloop-distribution",
                  [](ir::LoopFeatures& f) { f.body_size = 20; }, false},
-        FlagCase{"rerolling off hurts", "-qno-rerolling",
+        FlagCase{"rerolling off hurts the default loop", "-qno-rerolling",
                  [](ir::LoopFeatures&) {}, false},
-        FlagCase{"frame pointer hurts", "-fno-omit-frame-pointer",
+        FlagCase{"frame pointer hurts the default loop",
+                 "-fno-omit-frame-pointer",
                  [](ir::LoopFeatures&) {}, false},
-        FlagCase{"loop alignment off hurts", "-no-align-loops",
+        FlagCase{"loop alignment off hurts the default loop",
+                 "-no-align-loops",
                  [](ir::LoopFeatures&) {}, false},
         FlagCase{"dynamic-align off hurts vectorized loops",
                  "-qno-opt-dynamic-align", [](ir::LoopFeatures&) {},
@@ -113,7 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
         FlagCase{"safe padding helps vectorized loops",
                  "-qopt-assume-safe-padding", [](ir::LoopFeatures&) {},
                  true},
-        FlagCase{"layout-trans 0 hurts", "-qopt-mem-layout-trans=0",
+        FlagCase{"layout-trans 0 hurts the default loop",
+                 "-qopt-mem-layout-trans=0",
                  [](ir::LoopFeatures&) {}, false},
         FlagCase{"layout-trans 2 helps shared-heavy loops",
                  "-qopt-mem-layout-trans=2",
