@@ -3,24 +3,23 @@
 // Measures sustained evaluation throughput (evals/sec) and per-frame
 // round-trip latency percentiles for N concurrent clients hammering
 // one daemon with cache-hot eval_batch frames. "Cache-hot" isolates
-// the SERVICE cost - framing, negotiation, event loop, worker
+// the SERVICE cost - encoding, framing, event loop, worker
 // hand-off - from the (deliberately deterministic but expensive)
 // measurement model: with a daemon-side result cache, every request
 // after warmup is a replay, so the wire and the loop are the
 // bottleneck being measured.
 //
-// Run it under both framings to quantify what the negotiated binary
-// encoding buys over the JSON baseline:
-//   service_throughput --clients 8 --batch 16 --seconds 2 --framing both
-// Numbers for this machine live in BENCH_service_throughput.json
-// (regenerate with --json).
+// Every frame travels binary-crc32, the one wire encoding:
+//   service_throughput --clients 8 --batch 16 --seconds 2
+// Recorded numbers live in BENCH_service_throughput.json (regenerate
+// with --json).
 //
 // --connect tcp:host:port targets an already-running ftuned instead
 // of the in-process daemon (the CI throughput-smoke job does this to
 // exercise the real binary end to end).
 //
 // --check-allocs additionally asserts the steady-state claim behind
-// FrameBuffer: after warmup, a binary ping round-trip performs ZERO
+// FrameBuffer: after warmup, a ping round-trip performs ZERO
 // client-side heap allocations (the reusable read/write buffers have
 // reached their high-water capacity).
 
@@ -80,6 +79,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// The wire encoding every frame travels in; recorded in each run so
+/// readers of older multi-framing results parse this one too.
+constexpr const char* kFraming = "binary-crc32";
+
 struct RunResult {
   double evals_per_sec = 0.0;
   double p50_ms = 0.0;
@@ -109,7 +112,6 @@ struct BenchSetup {
   std::string program = "CL";
   std::string arch = "broadwell";
   core::FuncyTunerOptions options;
-  service::Framing framing = service::Framing::kJson;
   std::size_t clients = 8;
   std::size_t batch = 16;
   double seconds = 2.0;
@@ -121,13 +123,12 @@ std::shared_ptr<service::Client> dial(const BenchSetup& setup) {
   connect_options.workspace = service::WorkspaceSpec{
       setup.program, setup.arch, compiler::Personality::kIcc,
       setup.options};
-  connect_options.framings = {setup.framing};
   return service::Client::connect(
       service::Endpoint::parse(setup.address), connect_options);
 }
 
 /// After warmup every buffer in the client has reached its high-water
-/// capacity; a further binary ping round-trip must not allocate.
+/// capacity; a further ping round-trip must not allocate.
 void assert_zero_alloc_pings(const BenchSetup& setup) {
   const std::shared_ptr<service::Client> client = dial(setup);
   for (int i = 0; i < 64; ++i) client->ping();  // warmup
@@ -138,12 +139,10 @@ void assert_zero_alloc_pings(const BenchSetup& setup) {
     std::cerr << "service_throughput: FrameBuffer steady-state "
                  "violated: "
               << allocated << " allocations across 256 "
-              << service::framing_name(setup.framing)
-              << " ping round-trips\n";
+              << kFraming << " ping round-trips\n";
     std::exit(1);
   }
-  std::cout << "zero-alloc check passed: 256 "
-            << service::framing_name(setup.framing)
+  std::cout << "zero-alloc check passed: 256 " << kFraming
             << " pings, 0 client-side allocations\n";
 }
 
@@ -151,6 +150,7 @@ RunResult run_load(const BenchSetup& setup) {
   const core::EvalRequest request = hot_request();
   std::atomic<std::size_t> evaluations{0};
   std::atomic<std::size_t> frames{0};
+  std::atomic<std::size_t> warmed{0};
   std::atomic<bool> go{false}, halt{false};
   std::vector<std::vector<double>> latencies(setup.clients);
   std::vector<std::thread> threads;
@@ -162,6 +162,7 @@ RunResult run_load(const BenchSetup& setup) {
       // Warmup: populate the daemon-side cache, grow every buffer to
       // its high-water mark, fault in the code paths.
       for (int i = 0; i < 4; ++i) (void)client->call_many(batch);
+      warmed.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
@@ -181,6 +182,11 @@ RunResult run_load(const BenchSetup& setup) {
     });
   }
 
+  // The window opens only once every client is warm: a cold first
+  // evaluation can outlast a short window on a busy machine.
+  while (warmed.load(std::memory_order_acquire) < setup.clients) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const Clock::time_point start = Clock::now();
   go.store(true, std::memory_order_release);
   std::this_thread::sleep_for(
@@ -206,9 +212,9 @@ RunResult run_load(const BenchSetup& setup) {
   return result;
 }
 
-void append_json(std::ostringstream& out, const std::string& framing,
-                 const BenchSetup& setup, const RunResult& result) {
-  out << "    {\"framing\": \"" << framing
+void append_json(std::ostringstream& out, const BenchSetup& setup,
+                 const RunResult& result) {
+  out << "    {\"framing\": \"" << kFraming
       << "\", \"clients\": " << setup.clients
       << ", \"batch\": " << setup.batch
       << ", \"seconds\": " << result.seconds
@@ -220,8 +226,8 @@ void append_json(std::ostringstream& out, const std::string& framing,
       << ", \"p99_ms\": " << result.p99_ms << "}";
 }
 
-void print_result(const std::string& framing, const RunResult& result) {
-  std::cout << framing << ": " << static_cast<std::size_t>(
+void print_result(const RunResult& result) {
+  std::cout << kFraming << ": " << static_cast<std::size_t>(
                    result.evals_per_sec)
             << " evals/sec (" << result.frames << " frames, "
             << result.evaluations << " evaluations in "
@@ -234,8 +240,7 @@ int run(int argc, char** argv) {
   support::OptionSet set;
   set.integer("clients", 8, "concurrent client sessions")
       .integer("batch", 16, "requests per eval_batch frame")
-      .real("seconds", 2.0, "timed window per framing")
-      .text("framing", "both", "json, binary, or both")
+      .real("seconds", 2.0, "timed window")
       .text("program", "CL", "benchmark the workspace serves")
       .text("arch", "broadwell", "architecture the workspace serves")
       .text("json", "", "append machine-readable results to this file")
@@ -244,7 +249,7 @@ int run(int argc, char** argv) {
             "of an in-process daemon")
       .flag("check-allocs", false,
             "assert zero client-side allocations per steady-state "
-            "binary ping round-trip")
+            "ping round-trip")
       .flag("help", false, "print this help");
   const support::OptionSet::Parsed parsed =
       BenchConfig::parse_or_exit(set, argc, argv);
@@ -256,20 +261,6 @@ int run(int argc, char** argv) {
   setup.program = parsed.text("program");
   setup.arch = parsed.text("arch");
   setup.check_allocs = parsed.flag("check-allocs");
-
-  std::vector<service::Framing> framings;
-  const std::string framing_arg = parsed.text("framing");
-  if (framing_arg == "both") {
-    framings = {service::Framing::kJson, service::Framing::kBinary};
-  } else {
-    service::Framing framing;
-    if (!service::framing_from_name(framing_arg, &framing)) {
-      std::cerr << "service_throughput: unknown framing '" << framing_arg
-                << "' (expected json, binary or both)\n";
-      return 1;
-    }
-    framings = {framing};
-  }
 
   // The in-process daemon is sized so that the service layer - not
   // admission control or the measurement model - is the bottleneck:
@@ -289,20 +280,12 @@ int run(int argc, char** argv) {
     setup.address = parsed.text("connect");
   }
 
+  const RunResult result = run_load(setup);
+  print_result(result);
+  if (setup.check_allocs) assert_zero_alloc_pings(setup);
   std::ostringstream json;
   json << "{\n  \"bench\": \"service_throughput\",\n  \"runs\": [\n";
-  bool first = true;
-  for (const service::Framing framing : framings) {
-    setup.framing = framing;
-    const RunResult result = run_load(setup);
-    print_result(service::framing_name(framing), result);
-    if (!first) json << ",\n";
-    first = false;
-    append_json(json, service::framing_name(framing), setup, result);
-    if (setup.check_allocs && framing == service::Framing::kBinary) {
-      assert_zero_alloc_pings(setup);
-    }
-  }
+  append_json(json, setup, result);
   json << "\n  ]\n}\n";
 
   const std::string json_path = parsed.text("json");

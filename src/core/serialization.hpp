@@ -31,12 +31,9 @@ void write_history_csv(std::ostream& os, const TuningResult& result);
     const TuningResult& result, const flags::FlagSpace& space,
     const ir::Program& program);
 
-/// Reads the extras block back from a tuning-result JSON artifact.
-/// Schema v3 artifacts yield their "extras" object; v2 artifacts
-/// predate the block and read back the old bespoke shape (top-level
-/// "independent_seconds"/"independent_speedup" members, when present)
-/// so archived results stay consumable. Throws std::runtime_error on
-/// malformed JSON or a schema newer than this binary.
+/// Reads the extras block back from a tuning-result JSON artifact; a
+/// document without one reads back empty. Throws std::runtime_error
+/// on malformed JSON or a schema newer than this binary.
 [[nodiscard]] ResultExtras read_tuning_result_extras(
     const std::string& json);
 

@@ -45,19 +45,6 @@ void put_cv(std::string* out, const flags::CompilationVector& cv) {
   }
 }
 
-void put_caps(std::string* out, const Capabilities& caps) {
-  put_u32(out, static_cast<std::uint32_t>(caps.protocol));
-  put_u8(out, static_cast<std::uint8_t>(caps.framings.size()));
-  for (const Framing framing : caps.framings) {
-    put_u8(out, static_cast<std::uint8_t>(framing));
-  }
-  put_u64(out, caps.max_frame_bytes);
-  put_u32(out, static_cast<std::uint32_t>(caps.archs.size()));
-  for (const std::string& arch : caps.archs) {
-    put_string(out, arch);
-  }
-}
-
 void put_header(std::string* out, FrameKind kind, std::uint64_t seq) {
   put_u8(out, static_cast<std::uint8_t>(kind));
   put_u64(out, seq);
@@ -162,43 +149,24 @@ struct Cursor {
   }
 };
 
-bool read_caps(Cursor* cursor, Capabilities* out, std::string* error) {
-  std::uint32_t protocol = 0;
-  std::uint8_t framing_count = 0;
-  if (!cursor->u32(&protocol) || !cursor->u8(&framing_count)) {
-    *error = "truncated capabilities";
-    return false;
-  }
-  out->protocol = static_cast<int>(protocol);
-  out->framings.clear();
-  for (std::uint8_t i = 0; i < framing_count; ++i) {
-    std::uint8_t framing = 0;
-    if (!cursor->u8(&framing)) {
-      *error = "truncated capability framings";
-      return false;
-    }
-    // Unknown framing bytes are future framings: skip, don't fail.
-    if (framing <= static_cast<std::uint8_t>(Framing::kBinary)) {
-      out->framings.push_back(static_cast<Framing>(framing));
-    }
-  }
-  if (out->framings.empty()) out->framings.push_back(Framing::kJson);
-  std::uint32_t arch_count = 0;
-  if (!cursor->u64(&out->max_frame_bytes) || !cursor->u32(&arch_count)) {
-    *error = "truncated capabilities";
+bool read_archs(Cursor* cursor, std::vector<std::string>* out,
+                std::string* error) {
+  std::uint32_t count = 0;
+  if (!cursor->u32(&count)) {
+    *error = "truncated arch count";
     return false;
   }
   // 4 bytes minimum per serialized arch name: a forged count cannot
   // reserve past what the payload could possibly hold.
-  if (arch_count > cursor->remaining() / 4 + 1) {
-    *error = "capability arch count exceeds payload";
+  if (count > cursor->remaining() / 4 + 1) {
+    *error = "arch count exceeds payload";
     return false;
   }
-  out->archs.clear();
-  out->archs.resize(arch_count);
-  for (std::uint32_t i = 0; i < arch_count; ++i) {
-    if (!cursor->string(&out->archs[i])) {
-      *error = "truncated capability arch name";
+  out->clear();
+  out->resize(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (!cursor->string(&(*out)[i])) {
+      *error = "truncated arch name";
       return false;
     }
   }
@@ -307,8 +275,7 @@ bool read_response(Cursor* cursor, core::EvalResponse* out,
     }
     loop_sum += result.loop_seconds[i];
   }
-  // Not transmitted; recompute exactly as the engine (and the JSON
-  // decoder) derive it.
+  // Not transmitted; recompute exactly as the engine derives it.
   result.derived_nonloop_seconds = result.end_to_end - loop_sum;
   return true;
 }
@@ -318,6 +285,7 @@ bool read_response(Cursor* cursor, core::EvalResponse* out,
 void binary_encode_hello(const HelloFrame& hello, std::string* out) {
   out->clear();
   put_header(out, FrameKind::kHello, 0);
+  put_u32(out, static_cast<std::uint32_t>(hello.caps.protocol));
   put_string(out, hello.program);
   put_string(out, hello.arch);
   put_string(out, hello.personality);
@@ -333,17 +301,19 @@ void binary_encode_hello(const HelloFrame& hello, std::string* out) {
   put_f64(out, faults.outlier_rate);
   put_f64(out, faults.outlier_min_scale);
   put_f64(out, faults.outlier_max_scale);
-  put_caps(out, hello.caps);
 }
 
 void binary_encode_welcome(const WelcomeFrame& welcome, std::string* out) {
   out->clear();
   put_header(out, FrameKind::kWelcome, 0);
+  put_u32(out, static_cast<std::uint32_t>(welcome.caps.protocol));
   put_string(out, welcome.server);
   put_u64(out, welcome.session);
   put_u64(out, static_cast<std::uint64_t>(welcome.max_batch));
-  put_u8(out, static_cast<std::uint8_t>(welcome.framing));
-  put_caps(out, welcome.caps);
+  put_u32(out, static_cast<std::uint32_t>(welcome.caps.archs.size()));
+  for (const std::string& arch : welcome.caps.archs) {
+    put_string(out, arch);
+  }
 }
 
 void binary_encode_error(const ErrorFrame& error, std::string* out) {
@@ -418,14 +388,19 @@ DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
           payload.size(),
   };
   std::uint8_t tag = 0;
-  if (!cursor.u8(&tag)) return DecodeStatus::kUnparseable;
-  if (tag < static_cast<std::uint8_t>(FrameKind::kHello) ||
-      tag > static_cast<std::uint8_t>(FrameKind::kBye)) {
-    return DecodeStatus::kUnknownType;
+  if (!cursor.u8(&tag)) {
+    *error = "empty frame";
+    return DecodeStatus::kUnparseable;
   }
   if (!cursor.u64(&out->seq)) {
     *error = "truncated frame header";
     return DecodeStatus::kMalformed;
+  }
+  if (tag < static_cast<std::uint8_t>(FrameKind::kHello) ||
+      tag > static_cast<std::uint8_t>(FrameKind::kBye)) {
+    // The seq is read first so the refusal can name the frame.
+    *error = "unknown frame tag " + std::to_string(tag);
+    return DecodeStatus::kUnknownType;
   }
   out->kind = static_cast<FrameKind>(tag);
   const auto malformed = [error](const char* reason) {
@@ -435,6 +410,12 @@ DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
   switch (out->kind) {
     case FrameKind::kHello: {
       HelloFrame& hello = out->hello;
+      std::uint32_t protocol = 0;
+      if (!cursor.u32(&protocol)) return malformed("truncated hello");
+      hello.caps.protocol = static_cast<int>(protocol);
+      // Past the version, another version's layout is not ours to read:
+      // the receiver refuses the frame on caps.protocol alone.
+      if (hello.caps.protocol != kProtocolVersion) return DecodeStatus::kOk;
       const machine::FaultConfig defaults{};
       hello.options.faults = defaults;
       if (!cursor.string(&hello.program) || !cursor.string(&hello.arch) ||
@@ -461,29 +442,26 @@ DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
       if (hello.personality != "icc" && hello.personality != "gcc") {
         return malformed("hello personality must be icc or gcc");
       }
-      if (!read_caps(&cursor, &hello.caps, error)) {
-        return DecodeStatus::kMalformed;
-      }
       return DecodeStatus::kOk;
     }
     case FrameKind::kWelcome: {
       WelcomeFrame& welcome = out->welcome;
+      std::uint32_t protocol = 0;
+      if (!cursor.u32(&protocol)) return malformed("truncated welcome");
+      welcome.caps.protocol = static_cast<int>(protocol);
+      if (welcome.caps.protocol != kProtocolVersion) {
+        return DecodeStatus::kOk;  // see the hello case
+      }
       std::uint64_t max_batch = 0;
-      std::uint8_t framing = 0;
       if (!cursor.string(&welcome.server) ||
-          !cursor.u64(&welcome.session) || !cursor.u64(&max_batch) ||
-          !cursor.u8(&framing)) {
+          !cursor.u64(&welcome.session) || !cursor.u64(&max_batch)) {
         return malformed("truncated welcome");
       }
       if (max_batch == 0) {
         return malformed("welcome frame is incomplete");
       }
-      if (framing > static_cast<std::uint8_t>(Framing::kBinary)) {
-        return malformed("welcome names an unknown framing");
-      }
       welcome.max_batch = static_cast<std::size_t>(max_batch);
-      welcome.framing = static_cast<Framing>(framing);
-      if (!read_caps(&cursor, &welcome.caps, error)) {
+      if (!read_archs(&cursor, &welcome.caps.archs, error)) {
         return DecodeStatus::kMalformed;
       }
       return DecodeStatus::kOk;

@@ -1,4 +1,6 @@
-// Compact binary framing for the ftuned protocol (Framing::kBinary).
+// The binary layout of every ftuned frame. protocol.cpp seals each
+// payload with a CRC32 trailer (binary-crc32, the one wire encoding);
+// the functions here read and write the layout beneath that trailer.
 //
 // Layout: every payload is `u8 tag, u64le seq, fields...`. All
 // integers are little-endian fixed width; doubles are their IEEE-754
@@ -8,14 +10,15 @@
 //
 //   tag  frame         fields after the (tag, seq) header
 //   ---  ------------  ------------------------------------------------
-//    1   hello         str program, str arch, str personality,
-//                      u64 seed, f64 noise_sigma, f64 attribution_sigma,
-//                      f64 fault_rate, u64 fault_seed, f64 compile_share,
+//    1   hello         u32 protocol, str program, str arch,
+//                      str personality, u64 seed, f64 noise_sigma,
+//                      f64 attribution_sigma, f64 fault_rate,
+//                      u64 fault_seed, f64 compile_share,
 //                      f64 crash_share, f64 timeout_share,
 //                      f64 outlier_rate, f64 outlier_min_scale,
-//                      f64 outlier_max_scale, caps
-//    2   welcome       str server, u64 session, u64 max_batch,
-//                      u8 framing, caps
+//                      f64 outlier_max_scale
+//    2   welcome       u32 protocol, str server, u64 session,
+//                      u64 max_batch, u32 arch_count, str* archs
 //    3   error         str code, str detail, u8 retryable, u8 fatal
 //    4   eval          request
 //    5   eval_batch    u32 count, request*
@@ -25,8 +28,6 @@
 //    9   pong          -
 //   10   bye           -
 //
-//   caps     = u32 protocol, u8 framing_count, u8 framing*,
-//              u64 max_frame_bytes, u32 arch_count, str*
 //   request  = u32 loop_count, cv* loops, cv nonloop, u64 rep_base,
 //              u32 repetitions, u8 instrumented, u8 noise,
 //              u8 aggregate (0 mean, 1 median, 2 trimmed)
@@ -35,9 +36,10 @@
 //              ok:  f64 end_to_end, f64 stddev, u32 loop_count, f64*
 //              !ok: str fault_kind, str detail
 //
-// hello and welcome never travel binary on the wire (negotiation runs
-// before the framing switch) - their codecs exist for symmetry and so
-// the round-trip tests cover every frame type.
+// hello and welcome lead with the protocol version, so a peer of
+// another version is recognized before any field whose layout may
+// have changed: such a frame decodes with only `caps.protocol` read,
+// and the receiver refuses it as "unsupported_version".
 //
 // The decoder is fuzz-safe by construction: a bounds-checked cursor
 // rejects any truncated field, and element counts are validated
@@ -50,7 +52,7 @@
 namespace ft::service {
 
 // Encoders append to *out after clearing it (same contract as the
-// framing-dispatched encoders in protocol.hpp).
+// encoders in protocol.hpp, which call these and then seal).
 void binary_encode_hello(const HelloFrame& hello, std::string* out);
 void binary_encode_welcome(const WelcomeFrame& welcome, std::string* out);
 void binary_encode_error(const ErrorFrame& error, std::string* out);
@@ -69,10 +71,10 @@ void binary_encode_ping(std::uint64_t seq, std::string* out);
 void binary_encode_pong(std::uint64_t seq, std::string* out);
 void binary_encode_bye(std::string* out);
 
-/// Decodes one binary payload into *out (reset first). kUnparseable
-/// for an empty payload or unknown tag byte with no readable header;
-/// kUnknownType for a well-formed header whose tag we don't know;
-/// kMalformed (reason in *error) for a known tag with invalid or
+/// Decodes one binary payload (trailer already stripped) into *out
+/// (reset first). kUnparseable for an empty payload; kUnknownType for
+/// a full header whose tag we don't know; kMalformed (reason in
+/// *error) for a truncated header or a known tag with invalid or
 /// truncated contents.
 [[nodiscard]] DecodeStatus binary_decode_frame(std::string_view payload,
                                                AnyFrame* out,

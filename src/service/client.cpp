@@ -41,7 +41,7 @@ std::unique_ptr<Client> Client::connect(
 
 Client::~Client() {
   if (session_.valid()) {
-    encode_bye_frame(session_.framing(), &write_buffer_.payload);
+    encode_bye_frame(&write_buffer_.payload);
     (void)write_frame(session_.fd(), write_buffer_.payload, -1,
                       session_.chaos());
   }
@@ -70,8 +70,8 @@ void Client::roundtrip_locked() {
       throw ServiceError("io", "connection to ftuned lost (recv)");
     }
     std::string error;
-    const DecodeStatus decoded = decode_frame(
-        session_.framing(), read_buffer_.payload, &reply_, &error);
+    const DecodeStatus decoded =
+        decode_frame(read_buffer_.payload, &reply_, &error);
     if (decoded != DecodeStatus::kOk) {
       throw ServiceError("bad_frame",
                          "unparseable reply from ftuned: " + error);
@@ -115,8 +115,7 @@ void Client::roundtrip_locked() {
 core::EvalResponse Client::call(const core::EvalRequest& request) {
   std::lock_guard lock(mutex_);
   const std::uint64_t seq = next_seq_++;
-  encode_eval_frame(session_.framing(), seq, request,
-                    &write_buffer_.payload);
+  encode_eval_frame(seq, request, &write_buffer_.payload);
   roundtrip_locked();
   if (reply_.kind != FrameKind::kResult || reply_.responses.size() != 1) {
     throw ServiceError("bad_frame", "malformed result from ftuned");
@@ -140,8 +139,7 @@ std::vector<core::EvalResponse> Client::call_many(
     const std::size_t count =
         std::min(chunk_limit, requests.size() - begin);
     const std::uint64_t seq = next_seq_++;
-    encode_eval_batch_frame(session_.framing(), seq,
-                            requests.subspan(begin, count),
+    encode_eval_batch_frame(seq, requests.subspan(begin, count),
                             &write_buffer_.payload);
     roundtrip_locked();
     if (reply_.kind != FrameKind::kResultBatch ||
@@ -162,7 +160,7 @@ std::vector<core::EvalResponse> Client::call_many(
 void Client::ping() {
   std::lock_guard lock(mutex_);
   const std::uint64_t seq = next_seq_++;
-  encode_ping_frame(session_.framing(), seq, &write_buffer_.payload);
+  encode_ping_frame(seq, &write_buffer_.payload);
   roundtrip_locked();
   if (reply_.kind != FrameKind::kPong || reply_.seq != seq) {
     throw ServiceError("bad_frame", "expected a pong frame");

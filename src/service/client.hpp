@@ -3,13 +3,12 @@
 // `RemoteBackend` attached, every raw measurement a tuning run needs
 // travels to the daemon (batches as ONE frame) while all resilience
 // bookkeeping stays local - `ftune --remote ADDR` is bit-identical to
-// a plain `ftune` run, under either framing.
+// a plain `ftune` run.
 //
 // Transport setup lives in service/connect.hpp (the single dial +
-// handshake + negotiation path shared with the fleet); Client adds
-// the RPC surface, the overload-retry policy, and reusable
-// encode/decode buffers so the steady-state hot path allocates
-// nothing under binary framing.
+// handshake path shared with the fleet); Client adds the RPC surface,
+// the overload-retry policy, and reusable encode/decode buffers so
+// the steady-state hot path allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +38,8 @@ class Client {
   [[nodiscard]] static std::unique_ptr<Client> connect(
       const Endpoint& endpoint, const ConnectOptions& options);
 
-  /// Convenience overload (the historical signature): JSON framing,
-  /// fields spread out. Equivalent to packing them into ConnectOptions.
+  /// Convenience overload (the historical signature): fields spread
+  /// out. Equivalent to packing them into ConnectOptions.
   [[nodiscard]] static std::unique_ptr<Client> connect(
       const std::string& address, const std::string& program,
       const std::string& arch, const core::FuncyTunerOptions& options,
@@ -72,9 +71,10 @@ class Client {
   [[nodiscard]] const WelcomeFrame& welcome() const noexcept {
     return session_.welcome();
   }
-  /// What hello/welcome negotiation settled on for this session.
+  /// Kept only because perfbench/ftbench.cpp names it (a later
+  /// benchmark-only change can remove it); always binary-crc32.
   [[nodiscard]] Framing framing() const noexcept {
-    return session_.framing();
+    return Framing::kBinaryCrc;
   }
 
  private:
@@ -90,7 +90,7 @@ class Client {
   std::uint64_t next_seq_ = 1;
   std::uint64_t jitter_state_ = 0;
   /// Reused across calls (capacity survives): zero steady-state
-  /// allocations on the binary ping path, and no per-frame prefix
+  /// allocations on the ping path, and no per-frame prefix
   /// temporaries anywhere.
   FrameBuffer write_buffer_;
   FrameBuffer read_buffer_;

@@ -1,7 +1,5 @@
 #include "service/connect.hpp"
 
-#include <algorithm>
-
 #include "service/framing.hpp"
 
 namespace ft::service {
@@ -36,21 +34,14 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
           ? "gcc"
           : "icc";
   hello.options = options.workspace.options;
-  hello.caps.framings = options.framings;
-  // JSON is the mandatory fallback: offering it last means "anything
-  // better if you can, baseline otherwise", and guarantees the
-  // negotiation never dead-ends.
-  if (std::find(hello.caps.framings.begin(), hello.caps.framings.end(),
-                Framing::kJson) == hello.caps.framings.end()) {
-    hello.caps.framings.push_back(Framing::kJson);
-  }
-  if (!write_frame(session.socket_.fd(), encode_hello(hello),
-                   timeout_ms, session.chaos_.get())) {
+  std::string payload;
+  encode_hello_frame(hello, &payload);
+  if (!write_frame(session.socket_.fd(), payload, timeout_ms,
+                   session.chaos_.get())) {
     throw ServiceError("connect",
                        "cannot send hello to " + endpoint.spec);
   }
 
-  std::string payload;
   const FrameStatus status =
       read_frame(session.socket_.fd(), &payload, kDefaultMaxFrameBytes,
                  timeout_ms, session.chaos_.get());
@@ -66,8 +57,7 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
 
   AnyFrame reply;
   std::string error;
-  const DecodeStatus decoded =
-      decode_frame(Framing::kJson, payload, &reply, &error);
+  const DecodeStatus decoded = decode_frame(payload, &reply, &error);
   if (decoded == DecodeStatus::kOk && reply.kind == FrameKind::kError) {
     throw_error_frame(reply.error);
   }
@@ -76,18 +66,14 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
     throw ServiceError("bad_frame",
                        "expected a welcome frame: " + error);
   }
-  // The server's pick is binding, but it must be something we offered
-  // (JSON always implicitly is): anything else means the peer is
-  // broken, and switching to a framing we never asked for would
-  // desynchronize the stream.
-  if (reply.welcome.framing != Framing::kJson &&
-      std::find(hello.caps.framings.begin(), hello.caps.framings.end(),
-                reply.welcome.framing) == hello.caps.framings.end()) {
-    throw ServiceError("bad_frame",
-                       "server picked a framing that was not offered");
+  if (reply.welcome.caps.protocol != kProtocolVersion) {
+    throw ServiceError(
+        "unsupported_version",
+        endpoint.spec + " speaks protocol version " +
+            std::to_string(reply.welcome.caps.protocol) + ", not " +
+            std::to_string(kProtocolVersion));
   }
   session.welcome_ = std::move(reply.welcome);
-  session.framing_ = session.welcome_.framing;
   return session;
 }
 

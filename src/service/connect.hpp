@@ -1,12 +1,11 @@
 // The ONE way to reach an ftuned daemon: service::connect(Endpoint,
-// ConnectOptions) dials, handshakes (hello -> welcome, including
-// capability negotiation) and returns a Session owning the socket,
-// the negotiated framing and the transport knobs. Client wraps a
+// ConnectOptions) dials, handshakes (hello -> welcome, including the
+// protocol version check) and returns a Session owning the socket,
+// the daemon's welcome and the transport knobs. Client wraps a
 // Session with the RPC surface; FleetBackend holds one Session-backed
 // Client per endpoint. Before this existed, dial/handshake logic was
 // duplicated across client.cpp and fleet.cpp and grew apart; now a
-// protocol change (like the binary framing) lands in exactly one
-// place.
+// protocol change lands in exactly one place.
 #pragma once
 
 #include <cstdint>
@@ -75,18 +74,16 @@ struct ClientOptions {
 
 struct ConnectOptions {
   WorkspaceSpec workspace;
-  /// Framings to offer, most preferred first. JSON is appended
-  /// automatically when absent (negotiation must be able to fall back
-  /// to the baseline), so {kBinary} means "binary if the daemon can,
-  /// JSON otherwise".
-  std::vector<Framing> framings = {Framing::kJson};
+  /// Ignored; kept only because perfbench/ftbench.cpp names it (a
+  /// later benchmark-only change can remove it).
+  std::vector<Framing> framings = {Framing::kBinaryCrc};
   ClientOptions transport;
 };
 
-/// One connected, greeted transport: the socket, the framing both
-/// sides agreed on, and the daemon's welcome (max_batch, served
-/// archs). Move-only; closing is orderly (bye) only when the owner
-/// says so - Session itself just closes the fd.
+/// One connected, greeted transport: the socket and the daemon's
+/// welcome (max_batch, served archs). Move-only; closing is orderly
+/// (bye) only when the owner says so - Session itself just closes the
+/// fd.
 class Session {
  public:
   Session() = default;
@@ -97,7 +94,6 @@ class Session {
 
   [[nodiscard]] bool valid() const noexcept { return socket_.valid(); }
   [[nodiscard]] int fd() const noexcept { return socket_.fd(); }
-  [[nodiscard]] Framing framing() const noexcept { return framing_; }
   [[nodiscard]] const WelcomeFrame& welcome() const noexcept {
     return welcome_;
   }
@@ -122,18 +118,16 @@ class Session {
                          const ConnectOptions& options);
 
   Socket socket_;
-  Framing framing_ = Framing::kJson;
   WelcomeFrame welcome_;
   ClientOptions transport_;
   std::shared_ptr<chaos::ChaosEngine> chaos_;
 };
 
-/// Dials, sends hello (always JSON - it carries the negotiation),
-/// reads welcome | error, and adopts the framing the server picked.
-/// Throws ServiceError: the server's error code on a refusal,
-/// "connect"/"timeout" on transport failure, "bad_frame" when the
-/// reply is not a valid handshake (including a server picking a
-/// framing that was never offered).
+/// Dials, sends hello and reads welcome | error. Throws ServiceError:
+/// the server's error code on a refusal, "connect"/"timeout" on
+/// transport failure, "bad_frame" when the reply is not a valid
+/// handshake, "unsupported_version" when the welcome names another
+/// protocol version.
 [[nodiscard]] Session connect(const Endpoint& endpoint,
                               const ConnectOptions& options);
 

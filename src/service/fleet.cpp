@@ -67,7 +67,6 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
   fleet->options_ = fleet_options;
   fleet->connect_options_.workspace =
       WorkspaceSpec{program, arch, personality, options};
-  fleet->connect_options_.framings = fleet_options.framings;
   fleet->connect_options_.transport = fleet_options.client;
 
   for (const std::string& address : addresses) {

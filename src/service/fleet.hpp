@@ -35,11 +35,6 @@ namespace ft::service {
 struct FleetOptions {
   /// Transport knobs applied to every per-daemon session.
   ClientOptions client;
-  /// Framing preference offered to every daemon. Negotiation is
-  /// per-endpoint: a mixed fleet where one daemon is JSON-only simply
-  /// downgrades that one session, the rest of the fleet stays binary,
-  /// and the answers are bit-identical either way.
-  std::vector<Framing> framings = {Framing::kJson};
   /// Health probe period. Endpoints idle for a full period get a
   /// ping; a failed probe drains the endpoint. <= 0 disables probing
   /// (transport errors during dispatch still drain).

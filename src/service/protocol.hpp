@@ -1,25 +1,18 @@
-// The ftuned wire protocol: typed frames over service/framing. Frames
-// travel in one of two negotiated framings:
-//
-//   - JSON (the default and compatibility baseline): every frame is a
-//     JSON object with a "type" member; doubles travel as %.17g
-//     (bit-exact round-trip) and 64-bit integers as decimal strings,
-//     the same conventions as the checkpoint journal.
-//   - binary (opt-in, negotiated in hello/welcome): fixed-width tags
-//     and raw little-endian doubles - bit-exactness is structural
-//     instead of a printf-format property, and encode/decode cost
-//     drops to memcpy speed.
-//
-// hello and welcome are ALWAYS JSON - they carry the negotiation, so
-// they must be readable before its outcome is known. Every frame
-// after welcome uses the negotiated framing, both directions.
+// The ftuned wire protocol: typed frames over service/framing. Every
+// frame - the hello/welcome handshake included - travels in ONE
+// encoding, binary-crc32: the compact binary layout of
+// service/binary.hpp (fixed-width little-endian fields, doubles as
+// their raw IEEE-754 bits, so bit-exactness is structural) followed by
+// a 4-byte little-endian CRC32 trailer over that layout. A frame whose
+// trailer does not match is refused as `bad_frame` before any of its
+// fields is read.
 //
 // EvalRequest / EvalResponse from core/evaluator.hpp are serialized
 // field-for-field: the in-process evaluation currency IS the wire
 // payload, so remote evaluation cannot drift from local semantics.
 //
 // Frame inventory (client -> server / server -> client):
-//   hello       -> welcome | error      session setup + negotiation
+//   hello       -> welcome | error      session setup + version check
 //   eval        -> result | error       one raw evaluation
 //   eval_batch  -> result_batch | error coalesced batch
 //   ping        -> pong                 liveness probe
@@ -40,65 +33,39 @@
 #include "core/funcy_tuner.hpp"
 #include "service/framing.hpp"
 #include "support/crc32.hpp"
-#include "support/json.hpp"
 
 namespace ft::service {
 
 /// Bumped on any incompatible frame change; a hello with a different
 /// version is refused with a structured "unsupported_version" error.
-inline constexpr int kProtocolVersion = 1;
+inline constexpr int kProtocolVersion = 2;
 
-/// Payload encodings a session can speak. JSON is mandatory on every
-/// implementation (it is the negotiation carrier and the bit-identity
-/// baseline); binary is the opt-in fast path, and binary-crc32 is
-/// binary with a 4-byte little-endian CRC32 trailer over the payload -
-/// a corrupted frame is rejected as `bad_frame` instead of being
-/// decoded into garbage. Negotiated like any other framing: peers that
-/// predate it simply skip the unknown name.
+/// Kept only because perfbench/ftbench.cpp names it (a later
+/// benchmark-only change can remove it): binary-crc32 is the one wire
+/// encoding, so this single-valued enum selects nothing.
 enum class Framing : std::uint8_t {
-  kJson = 0,
-  kBinary = 1,
   kBinaryCrc = 2,
 };
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes`; used by the
-/// binary-crc32 framing and its tests. The implementation lives in
-/// support/crc32 so the persistent eval-cache's on-disk entries share
-/// the exact codec without depending on the service layer.
+/// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes`; seals every
+/// wire frame. The implementation lives in support/crc32 so the
+/// persistent eval-cache's on-disk entries share the exact codec
+/// without depending on the service layer.
 [[nodiscard]] inline std::uint32_t crc32(std::string_view bytes) noexcept {
   return support::crc32(bytes);
 }
 
-[[nodiscard]] const char* framing_name(Framing framing);
-/// False for names this build does not know. Unknown names are how
-/// FUTURE framings look to us - callers must skip them, not fail the
-/// handshake.
-[[nodiscard]] bool framing_from_name(std::string_view name, Framing* out);
-
-/// Versioned capability set exchanged in hello (what the client can
-/// speak, preference-ordered) and welcome (what the server serves).
-/// Unknown keys and unknown framing names are ignored on decode, so
-/// adding capabilities never breaks older peers; a peer that sent no
-/// capabilities at all gets the conservative defaults below (protocol
-/// 1, JSON only), which is exactly what pre-negotiation daemons spoke.
+/// What a peer declares about itself in hello and welcome.
 struct Capabilities {
+  /// Travels first after the frame header, so a peer of another
+  /// version is refused as "unsupported_version" whatever the rest of
+  /// its layout looks like.
   int protocol = kProtocolVersion;
-  /// In a hello: client preference order. In a welcome: the server's
-  /// supported set. JSON is always present.
-  std::vector<Framing> framings = {Framing::kJson};
-  std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Architecture names this daemon serves, in canonical table order;
-  /// empty in a hello. Heterogeneous fleets pin campaign cells to
-  /// daemons advertising the cell's arch.
+  /// welcome only. Heterogeneous fleets pin campaign cells to daemons
+  /// advertising the cell's arch.
   std::vector<std::string> archs;
 };
-
-/// First client-preferred framing the server also supports. JSON is
-/// implicitly in both sets, so negotiation cannot fail - worst case
-/// both sides fall back to the baseline.
-[[nodiscard]] Framing negotiate_framing(
-    const std::vector<Framing>& client_order,
-    const std::vector<Framing>& server_supported);
 
 /// Session opener: names the workspace the client wants to evaluate
 /// in. `options` carries only the measurement-relevant fields (seed,
@@ -109,15 +76,13 @@ struct HelloFrame {
   std::string arch;         ///< machine::architecture_by_name key
   std::string personality = "icc";  ///< "icc" | "gcc"
   core::FuncyTunerOptions options;
-  Capabilities caps;        ///< caps.protocol doubles as the version
+  Capabilities caps;        ///< caps.protocol is the version
 };
 
 struct WelcomeFrame {
   std::string server = "ftuned";
   std::uint64_t session = 0;
   std::size_t max_batch = 0;  ///< requests the server accepts per frame
-  /// The framing the server picked for every frame after this one.
-  Framing framing = Framing::kJson;
   Capabilities caps;          ///< caps.archs = served architectures
 };
 
@@ -164,102 +129,65 @@ struct AnyFrame {
 
 enum class DecodeStatus {
   kOk,
-  kUnparseable,   ///< not JSON / not a known binary envelope
-  kUnknownType,   ///< parsed fine but names a frame type we don't know
+  kUnparseable,   ///< shorter than its trailer, CRC mismatch, or empty
+  kUnknownType,   ///< intact, but names a frame tag we don't know
   kMalformed,     ///< known type, invalid contents (reason in *error)
 };
 
-/// Decodes one payload under the given framing into *out (reset
-/// first). On kMalformed, *error holds a human-readable reason.
-[[nodiscard]] DecodeStatus decode_frame(Framing framing,
-                                        std::string_view payload,
+/// Verifies the CRC32 trailer of one payload, then decodes it into
+/// *out (reset first). On anything but kOk, *error holds a
+/// human-readable reason.
+[[nodiscard]] DecodeStatus decode_frame(std::string_view payload,
                                         AnyFrame* out, std::string* error);
 
-// --- framing-dispatched encoders -------------------------------------------
+// --- encoders ----------------------------------------------------------------
 // All append to *out after clearing it, so callers thread one
 // FrameBuffer through their whole write path and reach steady-state
-// zero allocation. hello/welcome are JSON-only on the wire (see file
-// header); their binary forms exist for symmetry and round-trip tests.
+// zero allocation.
 
-void encode_hello_frame(Framing framing, const HelloFrame& hello,
-                        std::string* out);
-void encode_welcome_frame(Framing framing, const WelcomeFrame& welcome,
-                          std::string* out);
-void encode_error_frame(Framing framing, const ErrorFrame& error,
-                        std::string* out);
-void encode_eval_frame(Framing framing, std::uint64_t seq,
-                       const core::EvalRequest& request, std::string* out);
-void encode_eval_batch_frame(Framing framing, std::uint64_t seq,
+void encode_hello_frame(const HelloFrame& hello, std::string* out);
+void encode_welcome_frame(const WelcomeFrame& welcome, std::string* out);
+void encode_error_frame(const ErrorFrame& error, std::string* out);
+void encode_eval_frame(std::uint64_t seq, const core::EvalRequest& request,
+                       std::string* out);
+void encode_eval_batch_frame(std::uint64_t seq,
                              std::span<const core::EvalRequest> requests,
                              std::string* out);
-void encode_result_frame(Framing framing, std::uint64_t seq,
+void encode_result_frame(std::uint64_t seq,
                          const core::EvalResponse& response,
                          std::string* out);
 void encode_result_batch_frame(
-    Framing framing, std::uint64_t seq,
-    std::span<const core::EvalResponse> responses, std::string* out);
-void encode_ping_frame(Framing framing, std::uint64_t seq,
-                       std::string* out);
-void encode_pong_frame(Framing framing, std::uint64_t seq,
-                       std::string* out);
-void encode_bye_frame(Framing framing, std::string* out);
+    std::uint64_t seq, std::span<const core::EvalResponse> responses,
+    std::string* out);
+void encode_ping_frame(std::uint64_t seq, std::string* out);
+void encode_pong_frame(std::uint64_t seq, std::string* out);
+void encode_bye_frame(std::string* out);
 
-// --- JSON encoders (exact, deterministic text) -----------------------------
-// The historical API; the framing-dispatched encoders above delegate
-// here for Framing::kJson.
+// --- Framing-taking forms ----------------------------------------------------
 
-[[nodiscard]] std::string encode_hello(const HelloFrame& hello);
-[[nodiscard]] std::string encode_welcome(const WelcomeFrame& welcome);
-[[nodiscard]] std::string encode_error(const ErrorFrame& error);
-[[nodiscard]] std::string encode_eval(std::uint64_t seq,
-                                      const core::EvalRequest& request);
-[[nodiscard]] std::string encode_eval_batch(
-    std::uint64_t seq, std::span<const core::EvalRequest> requests);
-[[nodiscard]] std::string encode_result(
-    std::uint64_t seq, const core::EvalResponse& response);
-[[nodiscard]] std::string encode_result_batch(
-    std::uint64_t seq, std::span<const core::EvalResponse> responses);
-[[nodiscard]] std::string encode_ping(std::uint64_t seq);
-[[nodiscard]] std::string encode_pong(std::uint64_t seq);
-[[nodiscard]] std::string encode_bye();
+/// Kept only because perfbench/ftbench.cpp names it (a later
+/// benchmark-only change can remove it); same as the form above.
+[[nodiscard]] inline DecodeStatus decode_frame(Framing /*framing*/,
+                                               std::string_view payload,
+                                               AnyFrame* out,
+                                               std::string* error) {
+  return decode_frame(payload, out, error);
+}
 
-// --- JSON decoders ---------------------------------------------------------
-// Each returns false (with a human-readable reason in `error`) for a
-// structurally valid JSON object that is not a valid frame of that
-// type. Callers parse the JSON first and dispatch on frame_type().
+/// Kept only because perfbench/ftbench.cpp names it (a later
+/// benchmark-only change can remove it); same as the form above.
+inline void encode_eval_batch_frame(
+    Framing /*framing*/, std::uint64_t seq,
+    std::span<const core::EvalRequest> requests, std::string* out) {
+  encode_eval_batch_frame(seq, requests, out);
+}
 
-/// The "type" member, or "" when absent / not an object.
-[[nodiscard]] std::string frame_type(const support::JsonValue& frame);
-/// The "seq" member, or 0 when absent.
-[[nodiscard]] std::uint64_t frame_seq(const support::JsonValue& frame);
-
-[[nodiscard]] bool decode_hello(const support::JsonValue& frame,
-                                HelloFrame* out, std::string* error);
-[[nodiscard]] bool decode_welcome(const support::JsonValue& frame,
-                                  WelcomeFrame* out, std::string* error);
-[[nodiscard]] bool decode_error(const support::JsonValue& frame,
-                                ErrorFrame* out);
-
-/// Request/response payloads (the "request"/"result" members of
-/// eval/result frames). Exposed directly for the round-trip tests.
-[[nodiscard]] std::string eval_request_json(
-    const core::EvalRequest& request);
-[[nodiscard]] bool parse_eval_request(const support::JsonValue& value,
-                                      core::EvalRequest* out,
-                                      std::string* error);
-[[nodiscard]] std::string eval_response_json(
-    const core::EvalResponse& response);
-[[nodiscard]] bool parse_eval_response(const support::JsonValue& value,
-                                       core::EvalResponse* out,
-                                       std::string* error);
-
-/// Decodes the request payload(s) of an eval / eval_batch frame.
-[[nodiscard]] bool decode_eval(const support::JsonValue& frame,
-                               std::vector<core::EvalRequest>* out,
-                               std::string* error);
-/// Decodes the response payload(s) of a result / result_batch frame.
-[[nodiscard]] bool decode_result(const support::JsonValue& frame,
-                                 std::vector<core::EvalResponse>* out,
-                                 std::string* error);
+/// Kept only because perfbench/ftbench.cpp names it (a later
+/// benchmark-only change can remove it); same as the form above.
+inline void encode_result_batch_frame(
+    Framing /*framing*/, std::uint64_t seq,
+    std::span<const core::EvalResponse> responses, std::string* out) {
+  encode_result_batch_frame(seq, responses, out);
+}
 
 }  // namespace ft::service

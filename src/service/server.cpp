@@ -17,7 +17,6 @@
 #include "core/persistent_cache.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -109,12 +108,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
         core::PersistentCache::Options{
             .dir = options_.cache_dir,
             .max_bytes = options_.cache_disk_bytes});
-  }
-  // JSON is the negotiation carrier and the compatibility baseline:
-  // a daemon may refuse to *prefer* it, never to speak it.
-  if (std::find(options_.framings.begin(), options_.framings.end(),
-                Framing::kJson) == options_.framings.end()) {
-    options_.framings.insert(options_.framings.begin(), Framing::kJson);
   }
 }
 
@@ -220,7 +213,6 @@ Server::Stats Server::stats() const {
   out.cache_hits = stats_.cache_hits.load();
   out.errors_sent = stats_.errors_sent.load();
   out.overloads = stats_.overloads.load();
-  out.binary_sessions = stats_.binary_sessions.load();
   out.drain_refusals = stats_.drain_refusals.load();
   out.deadline_refusals = stats_.deadline_refusals.load();
   out.cancelled_jobs = stats_.cancelled_jobs.load();
@@ -339,7 +331,7 @@ bool Server::drain_step(double now) {
       SessionState* session = it->second.get();
       if (session->closing) continue;
       std::string bye;
-      encode_bye_frame(session->framing, &bye);
+      encode_bye_frame(&bye);
       session->closing = true;
       session->inbox.clear();
       session->backlog.clear();
@@ -463,8 +455,7 @@ bool Server::extract_frames(SessionState* session) {
       // nothing to do but refuse and hang up (flush first).
       stats_.errors_sent.fetch_add(1, std::memory_order_relaxed);
       std::string reply;
-      encode_error_frame(session->framing,
-                         ErrorFrame{"oversized_frame",
+      encode_error_frame(ErrorFrame{"oversized_frame",
                                     session->greeted
                                         ? "frame exceeds max_frame_bytes"
                                         : "hello frame exceeds the cap",
@@ -507,7 +498,6 @@ void Server::dispatch_job(SessionState* session, std::string payload) {
   Job job;
   job.session_id = session->id;
   job.is_hello = !session->greeted;
-  job.framing = session->framing;
   job.workspace = session->workspace;
   job.payload = std::move(payload);
   job.enqueued = now_seconds();
@@ -536,14 +526,6 @@ void Server::apply_completions() {
     if (!completion.reply.empty() &&
         !queue_reply(session, std::move(completion.reply))) {
       continue;  // session destroyed on a dead socket
-    }
-    if (completion.greeted) {
-      // The welcome itself went out under JSON (the negotiation
-      // carrier); everything after it speaks the negotiated framing.
-      session->framing = completion.framing;
-      if (completion.framing != Framing::kJson) {
-        stats_.binary_sessions.fetch_add(1, std::memory_order_relaxed);
-      }
     }
     if (completion.close) {
       session->closing = true;
@@ -731,63 +713,53 @@ void Server::post(Completion completion) {
 }
 
 Server::Completion Server::error_completion(std::uint64_t session_id,
-                                            Framing framing,
                                             const ErrorFrame& error) {
   stats_.errors_sent.fetch_add(1, std::memory_order_relaxed);
   Completion completion;
   completion.session_id = session_id;
   completion.close = error.fatal;
-  encode_error_frame(framing, error, &completion.reply);
+  encode_error_frame(error, &completion.reply);
   return completion;
 }
 
 Server::Completion Server::serve_hello(const Job& job) {
   const std::uint64_t sid = job.session_id;
-  // The hello is ALWAYS JSON: it carries the negotiation that decides
-  // what everything after the welcome speaks.
   static thread_local AnyFrame frame;
   std::string error;
-  const DecodeStatus status =
-      decode_frame(Framing::kJson, job.payload, &frame, &error);
+  const DecodeStatus status = decode_frame(job.payload, &frame, &error);
   if (status == DecodeStatus::kUnparseable) {
-    return error_completion(sid, Framing::kJson,
-                            ErrorFrame{"bad_frame", error, 0, false,
-                                       true});
+    return error_completion(
+        sid, ErrorFrame{"bad_frame", error, 0, false, true});
   }
   if (frame.kind != FrameKind::kHello ||
       status == DecodeStatus::kUnknownType) {
-    return error_completion(sid, Framing::kJson,
-                            ErrorFrame{"bad_request",
-                                       "expected a hello frame", 0,
-                                       false, true});
+    return error_completion(sid, ErrorFrame{"bad_request",
+                                            "expected a hello frame", 0,
+                                            false, true});
   }
   if (status != DecodeStatus::kOk) {
-    return error_completion(sid, Framing::kJson,
-                            ErrorFrame{"bad_request", error, 0, false,
-                                       true});
+    return error_completion(
+        sid, ErrorFrame{"bad_request", error, 0, false, true});
   }
   const HelloFrame& hello = frame.hello;
   if (hello.caps.protocol != kProtocolVersion) {
     return error_completion(
-        sid, Framing::kJson,
-        ErrorFrame{"unsupported_version",
-                   "server speaks protocol version " +
-                       std::to_string(kProtocolVersion),
-                   0, false, true});
+        sid, ErrorFrame{"unsupported_version",
+                        "server speaks protocol version " +
+                            std::to_string(kProtocolVersion),
+                        0, false, true});
   }
   try {
     (void)programs::by_name(hello.program);
   } catch (const std::exception& reason) {
-    return error_completion(sid, Framing::kJson,
-                            ErrorFrame{"unknown_program", reason.what(),
-                                       0, false, true});
+    return error_completion(sid, ErrorFrame{"unknown_program",
+                                            reason.what(), 0, false, true});
   }
   try {
     (void)machine::architecture_by_name(hello.arch);
   } catch (const std::exception& reason) {
-    return error_completion(sid, Framing::kJson,
-                            ErrorFrame{"unknown_architecture",
-                                       reason.what(), 0, false, true});
+    return error_completion(sid, ErrorFrame{"unknown_architecture",
+                                            reason.what(), 0, false, true});
   }
   const std::string arch_display =
       machine::architecture_by_name(hello.arch).name;
@@ -799,28 +771,21 @@ Server::Completion Server::serve_hello(const Job& job) {
     // unknown_architecture so a fleet can treat the endpoint as
     // ineligible for the cell rather than the hello as malformed.
     return error_completion(
-        sid, Framing::kJson,
-        ErrorFrame{"unsupported_architecture",
-                   "this daemon does not serve " + hello.arch, 0, false,
-                   true});
+        sid, ErrorFrame{"unsupported_architecture",
+                        "this daemon does not serve " + hello.arch, 0, false,
+                        true});
   }
 
   Workspace* workspace = nullptr;
   try {
     workspace = workspace_for(hello);
   } catch (const std::exception& reason) {
-    return error_completion(sid, Framing::kJson,
-                            ErrorFrame{"bad_request", reason.what(), 0,
-                                       false, true});
+    return error_completion(
+        sid, ErrorFrame{"bad_request", reason.what(), 0, false, true});
   }
   WelcomeFrame welcome;
   welcome.session = sid;
   welcome.max_batch = options_.max_batch;
-  welcome.framing =
-      negotiate_framing(hello.caps.framings, options_.framings);
-  welcome.caps.protocol = kProtocolVersion;
-  welcome.caps.framings = options_.framings;
-  welcome.caps.max_frame_bytes = options_.max_frame_bytes;
   if (!options_.archs.empty()) {
     welcome.caps.archs = options_.archs;
   } else {
@@ -832,9 +797,8 @@ Server::Completion Server::serve_hello(const Job& job) {
   Completion completion;
   completion.session_id = sid;
   completion.greeted = true;
-  completion.framing = welcome.framing;
   completion.workspace = workspace;
-  encode_welcome_frame(Framing::kJson, welcome, &completion.reply);
+  encode_welcome_frame(welcome, &completion.reply);
   return completion;
 }
 
@@ -845,35 +809,31 @@ void Server::run_job(Job job) {
       // the client should take its workspace to another daemon.
       stats_.drain_refusals.fetch_add(1, std::memory_order_relaxed);
       post(error_completion(
-          job.session_id, Framing::kJson,
-          ErrorFrame{"draining", "daemon is draining for shutdown", 0,
-                     true, true}));
+          job.session_id, ErrorFrame{"draining",
+                                     "daemon is draining for shutdown", 0,
+                                     true, true}));
       return;
     }
     post(serve_hello(job));
     return;
   }
   const std::uint64_t sid = job.session_id;
-  const Framing framing = job.framing;
   // thread_local: a worker reuses its decode scratch across jobs, so
   // steady-state batches don't re-grow request vectors from scratch.
   static thread_local AnyFrame frame;
   std::string error;
-  const DecodeStatus status =
-      decode_frame(framing, job.payload, &frame, &error);
+  const DecodeStatus status = decode_frame(job.payload, &frame, &error);
   if (status == DecodeStatus::kUnparseable) {
     // Length framing is still synchronized, so a garbage payload
     // costs only this frame - the session survives.
-    post(error_completion(sid, framing,
-                          ErrorFrame{"bad_frame", error, 0, false,
-                                     false}));
+    post(error_completion(
+        sid, ErrorFrame{"bad_frame", error, 0, false, false}));
     return;
   }
   if (status != DecodeStatus::kOk) {
     // kUnknownType keeps the decoder's "unknown frame type 'x'" text.
-    post(error_completion(sid, framing,
-                          ErrorFrame{"bad_request", error, frame.seq,
-                                     false, false}));
+    post(error_completion(
+        sid, ErrorFrame{"bad_request", error, frame.seq, false, false}));
     return;
   }
   switch (frame.kind) {
@@ -887,7 +847,7 @@ void Server::run_job(Job job) {
     case FrameKind::kPing: {
       Completion completion;
       completion.session_id = sid;
-      encode_pong_frame(framing, frame.seq, &completion.reply);
+      encode_pong_frame(frame.seq, &completion.reply);
       stats_.frames_served.fetch_add(1, std::memory_order_relaxed);
       post(std::move(completion));
       return;
@@ -900,11 +860,10 @@ void Server::run_job(Job job) {
       // pong, ...) or a second hello: a protocol violation, but a
       // recoverable one.
       post(error_completion(
-          sid, framing,
-          ErrorFrame{"bad_request",
-                     std::string("unknown frame type '") +
-                         frame_kind_name(frame.kind) + "'",
-                     frame.seq, false, false}));
+          sid, ErrorFrame{"bad_request",
+                          std::string("unknown frame type '") +
+                              frame_kind_name(frame.kind) + "'",
+                          frame.seq, false, false}));
       return;
   }
 
@@ -917,9 +876,8 @@ void Server::run_job(Job job) {
     // to its local fallback) instead of waiting on a dying daemon.
     stats_.drain_refusals.fetch_add(1, std::memory_order_relaxed);
     post(error_completion(
-        sid, framing,
-        ErrorFrame{"draining", "daemon is draining for shutdown", seq,
-                   true, false}));
+        sid, ErrorFrame{"draining", "daemon is draining for shutdown", seq,
+                        true, false}));
     return;
   }
   if (options_.request_deadline_seconds > 0 &&
@@ -929,11 +887,10 @@ void Server::run_job(Job job) {
     // refuse retryably instead of computing an answer nobody reads.
     stats_.deadline_refusals.fetch_add(1, std::memory_order_relaxed);
     post(error_completion(
-        sid, framing,
-        ErrorFrame{"deadline",
-                   "request exceeded the server-side deadline before "
-                   "a worker could start it",
-                   seq, true, false}));
+        sid, ErrorFrame{"deadline",
+                        "request exceeded the server-side deadline before "
+                        "a worker could start it",
+                        seq, true, false}));
     return;
   }
   if (!session_live(sid)) {
@@ -949,23 +906,20 @@ void Server::run_job(Job job) {
     // paths without the daemon actually being saturated.
     stats_.overloads.fetch_add(1, std::memory_order_relaxed);
     post(error_completion(
-        sid, framing,
-        ErrorFrame{"overloaded", "injected chaos backpressure", seq,
-                   true, false}));
+        sid, ErrorFrame{"overloaded", "injected chaos backpressure", seq,
+                        true, false}));
     return;
   }
   if (requests.empty()) {
-    post(error_completion(sid, framing,
-                          ErrorFrame{"bad_request", "empty batch", seq,
-                                     false, false}));
+    post(error_completion(
+        sid, ErrorFrame{"bad_request", "empty batch", seq, false, false}));
     return;
   }
   if (requests.size() > options_.max_batch) {
     post(error_completion(
-        sid, framing,
-        ErrorFrame{"bad_request",
-                   "batch exceeds the advertised max_batch", seq, false,
-                   false}));
+        sid, ErrorFrame{"bad_request",
+                        "batch exceeds the advertised max_batch", seq, false,
+                        false}));
     return;
   }
   // Admission control: refuse (retryably) instead of queueing without
@@ -977,9 +931,8 @@ void Server::run_job(Job job) {
     inflight_.fetch_sub(admitted, std::memory_order_acq_rel);
     stats_.overloads.fetch_add(1, std::memory_order_relaxed);
     post(error_completion(
-        sid, framing,
-        ErrorFrame{"overloaded", "max_inflight evaluations reached",
-                   seq, true, false}));
+        sid, ErrorFrame{"overloaded", "max_inflight evaluations reached",
+                        seq, true, false}));
     return;
   }
   Completion completion;
@@ -988,11 +941,9 @@ void Server::run_job(Job job) {
     const std::vector<core::EvalResponse> responses =
         serve_requests(*job.workspace, requests);
     if (batch) {
-      encode_result_batch_frame(framing, seq, responses,
-                                &completion.reply);
+      encode_result_batch_frame(seq, responses, &completion.reply);
     } else {
-      encode_result_frame(framing, seq, responses.front(),
-                          &completion.reply);
+      encode_result_frame(seq, responses.front(), &completion.reply);
     }
     stats_.frames_served.fetch_add(1, std::memory_order_relaxed);
     stats_.evaluations.fetch_add(admitted, std::memory_order_relaxed);
@@ -1000,10 +951,8 @@ void Server::run_job(Job job) {
       stats_.batch_frames.fetch_add(1, std::memory_order_relaxed);
     }
   } catch (const std::exception& reason) {
-    completion = error_completion(sid, framing,
-                                  ErrorFrame{"bad_request",
-                                             reason.what(), seq, false,
-                                             false});
+    completion = error_completion(
+        sid, ErrorFrame{"bad_request", reason.what(), seq, false, false});
   }
   inflight_.fetch_sub(admitted, std::memory_order_acq_rel);
   post(std::move(completion));

@@ -409,17 +409,9 @@ TEST(ResultExtras, RoundTripsThroughTuningResultJson) {
   }
 }
 
-TEST(ResultExtras, ReaderAcceptsTheOldV2Shape) {
-  const std::string v2 =
-      "{\"schema_version\":2,\"algorithm\":\"G.realized\","
-      "\"independent_seconds\":1.5,\"independent_speedup\":1.25}";
-  const core::ResultExtras extras = core::read_tuning_result_extras(v2);
-  EXPECT_EQ(extras.get_or(core::kExtraIndependentSeconds, 0.0), 1.5);
-  EXPECT_EQ(extras.get_or(core::kExtraIndependentSpeedup, 0.0), 1.25);
-
-  // v2 artifacts without the pair read back empty, not as an error.
+TEST(ResultExtras, DocumentWithoutExtrasReadsBackEmpty) {
   EXPECT_TRUE(core::read_tuning_result_extras(
-                  "{\"schema_version\":2,\"algorithm\":\"CFR\"}")
+                  "{\"schema_version\":3,\"algorithm\":\"CFR\"}")
                   .empty());
   // Malformed JSON and future schemas stay hard errors.
   EXPECT_THROW((void)core::read_tuning_result_extras("{\"schema"),

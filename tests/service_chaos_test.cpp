@@ -26,6 +26,7 @@
 #include "flags/spaces.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
+#include "service/binary.hpp"
 #include "service/chaos.hpp"
 #include "service/client.hpp"
 #include "service/fallback.hpp"
@@ -34,7 +35,7 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
-#include "support/json.hpp"
+#include "service_wire.hpp"
 
 namespace ft::service {
 namespace {
@@ -78,14 +79,6 @@ std::string only(const std::string& overrides) {
   return "torn-write=0,delayed-read=0,reset=0,eintr=0,stall=0,"
          "overload=0,connect=0" +
          (overrides.empty() ? "" : "," + overrides);
-}
-
-support::JsonValue parse_or_fail(const std::string& text) {
-  support::JsonValue value;
-  std::string error;
-  EXPECT_TRUE(support::JsonValue::parse(text, &value, &error))
-      << error << " in: " << text;
-  return value;
 }
 
 core::EvalRequest valid_request() {
@@ -194,15 +187,15 @@ TEST(BinaryCrc, FramesRoundTripAndCarryTheTrailer) {
   response.modules_compiled = 3;
 
   std::string plain, sealed;
-  encode_result_frame(Framing::kBinary, 42, response, &plain);
-  encode_result_frame(Framing::kBinaryCrc, 42, response, &sealed);
+  binary_encode_result(42, response, &plain);
+  encode_result_frame(42, response, &sealed);
   ASSERT_EQ(sealed.size(), plain.size() + 4)
       << "binary-crc32 must be the binary encoding plus a 4-byte trailer";
   EXPECT_EQ(sealed.substr(0, plain.size()), plain);
 
   AnyFrame decoded;
   std::string error;
-  ASSERT_EQ(decode_frame(Framing::kBinaryCrc, sealed, &decoded, &error),
+  ASSERT_EQ(decode_frame(sealed, &decoded, &error),
             DecodeStatus::kOk)
       << error;
   ASSERT_EQ(decoded.kind, FrameKind::kResult);
@@ -214,8 +207,8 @@ TEST(BinaryCrc, FramesRoundTripAndCarryTheTrailer) {
             response.outcome.result.loop_seconds);
 
   std::string ping;
-  encode_ping_frame(Framing::kBinaryCrc, 7, &ping);
-  ASSERT_EQ(decode_frame(Framing::kBinaryCrc, ping, &decoded, &error),
+  encode_ping_frame(7, &ping);
+  ASSERT_EQ(decode_frame(ping, &decoded, &error),
             DecodeStatus::kOk);
   EXPECT_EQ(decoded.kind, FrameKind::kPing);
 }
@@ -223,10 +216,10 @@ TEST(BinaryCrc, FramesRoundTripAndCarryTheTrailer) {
 TEST(BinaryCrc, EverySingleBitFlipIsDetected) {
   core::EvalRequest request = valid_request();
   std::string sealed;
-  encode_eval_frame(Framing::kBinaryCrc, 9, request, &sealed);
+  encode_eval_frame(9, request, &sealed);
   AnyFrame decoded;
   std::string error;
-  ASSERT_EQ(decode_frame(Framing::kBinaryCrc, sealed, &decoded, &error),
+  ASSERT_EQ(decode_frame(sealed, &decoded, &error),
             DecodeStatus::kOk);
   // CRC32 detects ALL single-bit errors - walk every bit of the frame
   // (payload AND trailer) and demand rejection.
@@ -235,7 +228,7 @@ TEST(BinaryCrc, EverySingleBitFlipIsDetected) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupted = sealed;
       corrupted[byte] = static_cast<char>(corrupted[byte] ^ (1 << bit));
-      if (decode_frame(Framing::kBinaryCrc, corrupted, &decoded, &error) !=
+      if (decode_frame(corrupted, &decoded, &error) !=
           DecodeStatus::kOk) {
         ++rejections;
       }
@@ -249,75 +242,62 @@ TEST(BinaryCrc, FrameShorterThanItsChecksumIsRejected) {
   AnyFrame decoded;
   std::string error;
   for (const std::string& payload : {std::string(), std::string("abc")}) {
-    EXPECT_EQ(decode_frame(Framing::kBinaryCrc, payload, &decoded, &error),
+    EXPECT_EQ(decode_frame(payload, &decoded, &error),
               DecodeStatus::kUnparseable);
   }
 }
 
 TEST(BinaryCrc, NegotiatesAndServesALiveSession) {
-  ServerOptions options = test_server_options();
-  options.framings = {Framing::kJson, Framing::kBinary,
-                      Framing::kBinaryCrc};
-  Server server(options);
+  Server server(test_server_options());
   server.start();
 
   ConnectOptions connect_options;
   connect_options.workspace =
       WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc, {}};
-  connect_options.framings = {Framing::kBinaryCrc};
   std::unique_ptr<Client> client = Client::connect(
       Endpoint::parse(server.address().display()), connect_options);
-  EXPECT_EQ(client->framing(), Framing::kBinaryCrc);
+  EXPECT_EQ(client->welcome().caps.protocol, kProtocolVersion);
   client->ping();
   const core::EvalResponse response = client->call(valid_request());
   EXPECT_TRUE(response.ok());
   EXPECT_GT(response.outcome.result.end_to_end, 0.0);
-  EXPECT_GE(server.stats().binary_sessions, 1u);
+  EXPECT_EQ(server.stats().sessions_accepted, 1u);
   client.reset();
   server.stop();
 }
 
 TEST(BinaryCrc, CorruptedWireFrameGetsBadFrameAndTheSessionSurvives) {
-  ServerOptions options = test_server_options();
-  options.framings = {Framing::kJson, Framing::kBinary,
-                      Framing::kBinaryCrc};
-  Server server(options);
+  Server server(test_server_options());
   server.start();
 
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  hello.caps.framings = {Framing::kBinaryCrc, Framing::kJson};
-  ASSERT_TRUE(write_frame(socket.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(socket.fd(), wire::hello_cl()));
   std::string payload;
   ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  WelcomeFrame welcome;
+  ASSERT_EQ(wire::decode(payload).kind, FrameKind::kWelcome);
   std::string error;
-  ASSERT_TRUE(decode_welcome(parse_or_fail(payload), &welcome, &error));
-  ASSERT_EQ(welcome.framing, Framing::kBinaryCrc);
 
   // A ping whose last payload byte was flipped in flight: the length
   // framing stays synchronized, so the server can reject THIS frame
   // and keep the session.
   std::string ping;
-  encode_ping_frame(Framing::kBinaryCrc, 1, &ping);
+  encode_ping_frame(1, &ping);
   ping.back() = static_cast<char>(ping.back() ^ 0x40);
   ASSERT_TRUE(write_frame(socket.fd(), ping));
   ASSERT_EQ(read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
   AnyFrame reply;
-  ASSERT_EQ(decode_frame(Framing::kBinaryCrc, payload, &reply, &error),
+  ASSERT_EQ(decode_frame(payload, &reply, &error),
             DecodeStatus::kOk);
   ASSERT_EQ(reply.kind, FrameKind::kError);
   EXPECT_EQ(reply.error.code, "bad_frame");
 
   // The session survived: a clean ping still pongs.
-  encode_ping_frame(Framing::kBinaryCrc, 2, &ping);
+  encode_ping_frame(2, &ping);
   ASSERT_TRUE(write_frame(socket.fd(), ping));
   ASSERT_EQ(read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinaryCrc, payload, &reply, &error),
+  ASSERT_EQ(decode_frame(payload, &reply, &error),
             DecodeStatus::kOk);
   EXPECT_EQ(reply.kind, FrameKind::kPong);
   server.stop();
@@ -725,13 +705,10 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
   server.start();
 
   Socket session_a = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(session_a.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(session_a.fd(), wire::hello_cl()));
   std::string payload;
   ASSERT_EQ(read_frame(session_a.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(frame_type(parse_or_fail(payload)), "welcome");
+  ASSERT_EQ(wire::decode(payload).kind, FrameKind::kWelcome);
 
   // Session B: connected but never greeted - its hello will arrive
   // mid-drain and must be refused fatally.
@@ -745,7 +722,7 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
   // against the drain.
   core::EvalRequest slow = valid_request();
   slow.repetitions = 500000;  // wire cap is 1e6; ~seconds of work
-  const auto wire = [](const std::string& frame) {
+  const auto prefixed = [](const std::string& frame) {
     const std::uint32_t length = static_cast<std::uint32_t>(frame.size());
     std::string bytes;
     bytes.push_back(static_cast<char>((length >> 24) & 0xff));
@@ -756,7 +733,8 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
     return bytes;
   };
   const std::string two_frames =
-      wire(encode_eval(5, slow)) + wire(encode_eval(6, valid_request()));
+      prefixed(wire::eval(5, slow)) +
+      prefixed(wire::eval(6, valid_request()));
   ASSERT_EQ(::send(session_a.fd(), two_frames.data(), two_frames.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(two_frames.size()));
@@ -766,7 +744,7 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
 
   server.request_drain();
   EXPECT_TRUE(server.draining());
-  ASSERT_TRUE(write_frame(session_b.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(session_b.fd(), wire::hello_cl()));
 
   // Session A must see: the seq-5 result (inflight work finishes), a
   // retryable "draining" refusal for seq 6, then bye/EOF.
@@ -779,21 +757,19 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
       closed = true;
       break;
     }
-    const support::JsonValue frame = parse_or_fail(payload);
-    const std::string type = frame_type(frame);
-    if (type == "result") {
-      EXPECT_EQ(frame_seq(frame), 5u);
+    const AnyFrame frame = wire::decode(payload);
+    if (frame.kind == FrameKind::kResult) {
+      EXPECT_EQ(frame.seq, 5u);
       saw_result = true;
-    } else if (type == "error") {
-      ErrorFrame error;
-      ASSERT_TRUE(decode_error(frame, &error));
+    } else if (frame.kind == FrameKind::kError) {
+      const ErrorFrame& error = frame.error;
       if (error.code == "draining") {
         EXPECT_EQ(error.seq, 6u);
         saw_draining = true;
         EXPECT_TRUE(error.retryable)
             << "draining refusals must be retryable (reroutable)";
       }
-    } else if (type == "bye") {
+    } else if (frame.kind == FrameKind::kBye) {
       closed = true;
     }
   }
@@ -806,12 +782,10 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
   bool b_refused = false;
   while (read_frame(session_b.fd(), &payload, kDefaultMaxFrameBytes,
                     30000) == FrameStatus::kOk) {
-    const support::JsonValue frame = parse_or_fail(payload);
-    if (frame_type(frame) == "error") {
-      ErrorFrame error;
-      ASSERT_TRUE(decode_error(frame, &error));
-      EXPECT_EQ(error.code, "draining");
-      EXPECT_TRUE(error.fatal);
+    const AnyFrame frame = wire::decode(payload);
+    if (frame.kind == FrameKind::kError) {
+      EXPECT_EQ(frame.error.code, "draining");
+      EXPECT_TRUE(frame.error.fatal);
       b_refused = true;
     }
   }
@@ -884,10 +858,7 @@ TEST(Server, NeverHelloConnectionIsReapedGreetedIdleIsNot) {
 
   // Greeted and idle with an empty inbox: legal, never reaped.
   Socket greeted = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(greeted.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(greeted.fd(), wire::hello_cl()));
   std::string payload;
   ASSERT_EQ(read_frame(greeted.fd(), &payload), FrameStatus::kOk);
 
@@ -901,10 +872,10 @@ TEST(Server, NeverHelloConnectionIsReapedGreetedIdleIsNot) {
       [&] { return server.stats().loris_kills >= 1; }, 10.0));
 
   // The greeted session outlived several sweep periods and still works.
-  ASSERT_TRUE(write_frame(greeted.fd(), encode_ping(9)));
+  ASSERT_TRUE(write_frame(greeted.fd(), wire::ping(9)));
   ASSERT_EQ(read_frame(greeted.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "pong");
+  EXPECT_EQ(wire::decode(payload).kind, FrameKind::kPong);
   server.stop();
 }
 
@@ -912,24 +883,21 @@ TEST(Server, HelloSplitIntoSingleByteWritesStillGreets) {
   Server server(test_server_options());
   server.start();
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  const std::string payload = encode_hello(hello);
-  std::string wire;
+  const std::string payload = wire::hello_cl();
+  std::string bytes;
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  wire.push_back(static_cast<char>((length >> 24) & 0xff));
-  wire.push_back(static_cast<char>((length >> 16) & 0xff));
-  wire.push_back(static_cast<char>((length >> 8) & 0xff));
-  wire.push_back(static_cast<char>(length & 0xff));
-  wire += payload;
-  for (char byte : wire) {
+  bytes.push_back(static_cast<char>((length >> 24) & 0xff));
+  bytes.push_back(static_cast<char>((length >> 16) & 0xff));
+  bytes.push_back(static_cast<char>((length >> 8) & 0xff));
+  bytes.push_back(static_cast<char>(length & 0xff));
+  bytes += payload;
+  for (char byte : bytes) {
     ASSERT_EQ(::send(socket.fd(), &byte, 1, MSG_NOSIGNAL), 1);
   }
   std::string reply;
   ASSERT_EQ(read_frame(socket.fd(), &reply, kDefaultMaxFrameBytes, 10000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(reply)), "welcome");
+  EXPECT_EQ(wire::decode(reply).kind, FrameKind::kWelcome);
   server.stop();
 }
 
@@ -937,10 +905,7 @@ TEST(Server, HalfOpenPeerIsCollectedAndServiceContinues) {
   Server server(test_server_options());
   server.start();
   Socket half_open = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(half_open.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(half_open.fd(), wire::hello_cl()));
   std::string payload;
   ASSERT_EQ(read_frame(half_open.fd(), &payload), FrameStatus::kOk);
   // Half-open: we will never write again, but keep the fd. The server
@@ -951,10 +916,10 @@ TEST(Server, HalfOpenPeerIsCollectedAndServiceContinues) {
             FrameStatus::kClosed);
   // And the server keeps serving new sessions afterwards.
   Socket fresh = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(fresh.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(fresh.fd(), wire::hello_cl()));
   ASSERT_EQ(read_frame(fresh.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "welcome");
+  EXPECT_EQ(wire::decode(payload).kind, FrameKind::kWelcome);
   server.stop();
 }
 
@@ -964,10 +929,7 @@ TEST(Server, IdleTimeoutWaitsForAnInflightBatch) {
   Server server(options);
   server.start();
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(socket.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(socket.fd(), wire::hello_cl()));
   std::string payload;
   ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
   // Disconnect right after submitting a batch: sessions drop to zero
@@ -975,7 +937,7 @@ TEST(Server, IdleTimeoutWaitsForAnInflightBatch) {
   // worker pool. The server must finish the batch (not abort mid-job)
   // and only then exit on idleness.
   std::vector<core::EvalRequest> batch(200, valid_request());
-  ASSERT_TRUE(write_frame(socket.fd(), encode_eval_batch(3, batch)));
+  ASSERT_TRUE(write_frame(socket.fd(), wire::eval_batch(3, batch)));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   socket.close();
   server.wait();
@@ -995,25 +957,22 @@ TEST(Server, ConnectionCapEvictsTheOldestIdleSession) {
   options.max_sessions = 2;
   Server server(options);
   server.start();
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
   std::string payload;
 
   Socket oldest = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(oldest.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(oldest.fd(), wire::hello_cl()));
   ASSERT_EQ(read_frame(oldest.fd(), &payload), FrameStatus::kOk);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   Socket newer = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(newer.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(newer.fd(), wire::hello_cl()));
   ASSERT_EQ(read_frame(newer.fd(), &payload), FrameStatus::kOk);
 
   // At the cap: the third connection evicts `oldest` (longest idle).
   Socket third = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(third.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(third.fd(), wire::hello_cl()));
   ASSERT_EQ(read_frame(third.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "welcome");
+  EXPECT_EQ(wire::decode(payload).kind, FrameKind::kWelcome);
   const FrameStatus evicted =
       read_frame(oldest.fd(), &payload, kDefaultMaxFrameBytes, 10000);
   EXPECT_TRUE(evicted == FrameStatus::kClosed ||
@@ -1021,10 +980,10 @@ TEST(Server, ConnectionCapEvictsTheOldestIdleSession) {
   EXPECT_TRUE(
       wait_until([&] { return server.stats().evictions >= 1; }, 5.0));
   // The surviving newer session still works.
-  ASSERT_TRUE(write_frame(newer.fd(), encode_ping(4)));
+  ASSERT_TRUE(write_frame(newer.fd(), wire::ping(4)));
   ASSERT_EQ(read_frame(newer.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "pong");
+  EXPECT_EQ(wire::decode(payload).kind, FrameKind::kPong);
   server.stop();
 }
 
@@ -1034,22 +993,17 @@ TEST(Server, ExpiredRequestDeadlineIsARetryableRefusal) {
   Server server(options);
   server.start();
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(socket.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(socket.fd(), wire::hello_cl()));
   std::string payload;
   ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_TRUE(write_frame(socket.fd(), encode_eval(2, valid_request())));
+  ASSERT_TRUE(write_frame(socket.fd(), wire::eval(2, valid_request())));
   ASSERT_EQ(read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  const support::JsonValue frame = parse_or_fail(payload);
-  ASSERT_EQ(frame_type(frame), "error");
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(frame, &error));
-  EXPECT_EQ(error.code, "deadline");
-  EXPECT_TRUE(error.retryable);
-  EXPECT_FALSE(error.fatal);
+  const AnyFrame frame = wire::decode(payload);
+  ASSERT_EQ(frame.kind, FrameKind::kError);
+  EXPECT_EQ(frame.error.code, "deadline");
+  EXPECT_TRUE(frame.error.retryable);
+  EXPECT_FALSE(frame.error.fatal);
   EXPECT_TRUE(wait_until(
       [&] { return server.stats().deadline_refusals >= 1; }, 5.0));
   server.stop();

@@ -1,9 +1,9 @@
-// Tests for the ftuned evaluation service: frame protocol round-trips
-// (every frame type, %.17g bit-exact doubles), length-prefixed framing
-// over a socketpair, live-server error semantics, a >=1000-frame
-// garbage fuzz that must leave the daemon serving, and the property
-// the whole subsystem rests on - remote tuning runs are bit-identical
-// to in-process ones, faults and all.
+// Tests for the ftuned evaluation service: binary-crc32 round-trips of
+// every frame type (bit-exact doubles), length-prefixed framing over a
+// socketpair, live-server error semantics, a >=1000-frame garbage fuzz
+// that must leave the daemon serving, and the property the whole
+// subsystem rests on - remote tuning runs are bit-identical to
+// in-process ones, faults and all.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,124 +24,19 @@
 #include "flags/spaces.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
+#include "service/binary.hpp"
 #include "service/client.hpp"
 #include "service/fleet.hpp"
 #include "service/framing.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
-#include "support/json.hpp"
+#include "service_wire.hpp"
 
 namespace ft::service {
 namespace {
 
-// --- protocol round-trips ---------------------------------------------------
-
-support::JsonValue parse_or_fail(const std::string& text) {
-  support::JsonValue value;
-  std::string error;
-  EXPECT_TRUE(support::JsonValue::parse(text, &value, &error))
-      << error << " in: " << text;
-  return value;
-}
-
-TEST(Protocol, HelloRoundTripIsBitExact) {
-  HelloFrame hello;
-  hello.program = "LULESH";
-  hello.arch = "sandybridge";
-  hello.personality = "gcc";
-  hello.options.seed = 0x0123456789abcdefull;
-  hello.options.noise_sigma_rel = 0.1 + 0.2;  // not exactly 0.3
-  hello.options.attribution_sigma = 1e-17;
-  hello.options.faults.rate = 1.0 / 3.0;
-  hello.options.faults.seed = 0xffffffffffffffffull;
-  hello.options.faults.compile_share = 0.7;
-  hello.options.faults.crash_share = 0.2;
-  hello.options.faults.timeout_share = 0.1;
-  hello.options.faults.outlier_rate = 0.015625;
-  hello.options.faults.outlier_min_scale = 1.5;
-  hello.options.faults.outlier_max_scale = 9.999999999999998;
-
-  const support::JsonValue frame = parse_or_fail(encode_hello(hello));
-  EXPECT_EQ(frame_type(frame), "hello");
-  HelloFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_hello(frame, &out, &error)) << error;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
-  EXPECT_EQ(out.program, hello.program);
-  EXPECT_EQ(out.arch, hello.arch);
-  EXPECT_EQ(out.personality, hello.personality);
-  EXPECT_EQ(out.options.seed, hello.options.seed);
-  // EXPECT_EQ on doubles is exact equality: %.17g must round-trip bits.
-  EXPECT_EQ(out.options.noise_sigma_rel, hello.options.noise_sigma_rel);
-  EXPECT_EQ(out.options.attribution_sigma,
-            hello.options.attribution_sigma);
-  EXPECT_EQ(out.options.faults.rate, hello.options.faults.rate);
-  EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
-  EXPECT_EQ(out.options.faults.compile_share,
-            hello.options.faults.compile_share);
-  EXPECT_EQ(out.options.faults.crash_share,
-            hello.options.faults.crash_share);
-  EXPECT_EQ(out.options.faults.timeout_share,
-            hello.options.faults.timeout_share);
-  EXPECT_EQ(out.options.faults.outlier_rate,
-            hello.options.faults.outlier_rate);
-  EXPECT_EQ(out.options.faults.outlier_min_scale,
-            hello.options.faults.outlier_min_scale);
-  EXPECT_EQ(out.options.faults.outlier_max_scale,
-            hello.options.faults.outlier_max_scale);
-}
-
-TEST(Protocol, WelcomeRoundTrip) {
-  WelcomeFrame welcome;
-  welcome.session = 0xdeadbeefcafef00dull;
-  welcome.max_batch = 512;
-  const support::JsonValue frame = parse_or_fail(encode_welcome(welcome));
-  EXPECT_EQ(frame_type(frame), "welcome");
-  WelcomeFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_welcome(frame, &out, &error)) << error;
-  EXPECT_EQ(out.server, "ftuned");
-  EXPECT_EQ(out.session, welcome.session);
-  EXPECT_EQ(out.max_batch, welcome.max_batch);
-}
-
-TEST(Protocol, WelcomeArchsRoundTrip) {
-  WelcomeFrame welcome;
-  welcome.session = 7;
-  welcome.max_batch = 8;
-  welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
-  const support::JsonValue frame = parse_or_fail(encode_welcome(welcome));
-  WelcomeFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_welcome(frame, &out, &error)) << error;
-  EXPECT_EQ(out.caps.archs, welcome.caps.archs);
-
-  // archs is optional on the wire: a pre-fleet daemon's welcome (no
-  // member at all) must still decode, as an empty served set.
-  WelcomeFrame bare;
-  ASSERT_TRUE(decode_welcome(
-      parse_or_fail(
-          R"({"type":"welcome","server":"ftuned","session":"1","max_batch":4})"),
-      &bare, &error))
-      << error;
-  EXPECT_TRUE(bare.caps.archs.empty());
-}
-
-TEST(Protocol, ErrorRoundTrip) {
-  ErrorFrame error_frame{"overloaded", "max_inflight \"quoted\"\n", 42,
-                         true, false};
-  const support::JsonValue frame =
-      parse_or_fail(encode_error(error_frame));
-  EXPECT_EQ(frame_type(frame), "error");
-  ErrorFrame out;
-  ASSERT_TRUE(decode_error(frame, &out));
-  EXPECT_EQ(out.code, error_frame.code);
-  EXPECT_EQ(out.detail, error_frame.detail);
-  EXPECT_EQ(out.seq, 42u);
-  EXPECT_TRUE(out.retryable);
-  EXPECT_FALSE(out.fatal);
-}
+// --- sample payloads -------------------------------------------------------
 
 core::EvalRequest make_request() {
   core::EvalRequest request;
@@ -169,46 +64,6 @@ void expect_request_eq(const core::EvalRequest& got,
   EXPECT_EQ(got.aggregate, want.aggregate);
 }
 
-TEST(Protocol, EvalRequestRoundTrip) {
-  const core::EvalRequest request = make_request();
-  const support::JsonValue value =
-      parse_or_fail(eval_request_json(request));
-  core::EvalRequest out;
-  std::string error;
-  ASSERT_TRUE(parse_eval_request(value, &out, &error)) << error;
-  expect_request_eq(out, request);
-}
-
-TEST(Protocol, EvalFrameRoundTrip) {
-  const core::EvalRequest request = make_request();
-  const support::JsonValue frame =
-      parse_or_fail(encode_eval(17, request));
-  EXPECT_EQ(frame_type(frame), "eval");
-  EXPECT_EQ(frame_seq(frame), 17u);
-  std::vector<core::EvalRequest> out;
-  std::string error;
-  ASSERT_TRUE(decode_eval(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 1u);
-  expect_request_eq(out[0], request);
-}
-
-TEST(Protocol, EvalBatchFrameRoundTrip) {
-  std::vector<core::EvalRequest> requests(3, make_request());
-  requests[1].rep_base = 2;
-  requests[1].aggregate = machine::Aggregation::kMedian;
-  requests[2].repetitions = 1;
-  requests[2].noise = true;
-  const support::JsonValue frame =
-      parse_or_fail(encode_eval_batch(99, requests));
-  EXPECT_EQ(frame_type(frame), "eval_batch");
-  EXPECT_EQ(frame_seq(frame), 99u);
-  std::vector<core::EvalRequest> out;
-  std::string error;
-  ASSERT_TRUE(decode_eval(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) expect_request_eq(out[i], requests[i]);
-}
-
 core::EvalResponse make_ok_response() {
   core::EvalResponse response;
   machine::RunResult& result = response.outcome.result;
@@ -224,106 +79,6 @@ core::EvalResponse make_ok_response() {
   response.served_by = core::EvalServedBy::kCacheHit;
   response.modules_compiled = 5;
   return response;
-}
-
-TEST(Protocol, EvalResponseRoundTripIsBitExact) {
-  const core::EvalResponse response = make_ok_response();
-  const support::JsonValue value =
-      parse_or_fail(eval_response_json(response));
-  core::EvalResponse out;
-  std::string error;
-  ASSERT_TRUE(parse_eval_response(value, &out, &error)) << error;
-  EXPECT_TRUE(out.ok());
-  EXPECT_EQ(out.outcome.result.end_to_end,
-            response.outcome.result.end_to_end);
-  EXPECT_EQ(out.outcome.result.loop_seconds,
-            response.outcome.result.loop_seconds);
-  EXPECT_EQ(out.outcome.result.derived_nonloop_seconds,
-            response.outcome.result.derived_nonloop_seconds);
-  EXPECT_EQ(out.outcome.result.stddev, response.outcome.result.stddev);
-  EXPECT_EQ(out.outcome.attempts, 2);
-  EXPECT_EQ(out.served_by, core::EvalServedBy::kCacheHit);
-  EXPECT_EQ(out.modules_compiled, 5u);
-}
-
-TEST(Protocol, FailedEvalResponseRoundTrip) {
-  core::EvalResponse response;
-  response.outcome.error.kind = core::EvalFault::kCompileFailure;
-  response.outcome.error.detail = "cv 0xdeadbeef ICEd";
-  response.outcome.attempts = 3;
-  const support::JsonValue value =
-      parse_or_fail(eval_response_json(response));
-  core::EvalResponse out;
-  std::string error;
-  ASSERT_TRUE(parse_eval_response(value, &out, &error)) << error;
-  EXPECT_FALSE(out.ok());
-  EXPECT_EQ(out.outcome.error.kind, core::EvalFault::kCompileFailure);
-  EXPECT_EQ(out.outcome.error.detail, response.outcome.error.detail);
-  EXPECT_EQ(out.outcome.attempts, 3);
-}
-
-TEST(Protocol, ResultBatchFrameRoundTrip) {
-  std::vector<core::EvalResponse> responses(2, make_ok_response());
-  responses[1].outcome.result.end_to_end = 2.718281828459045;
-  responses[1].served_by = core::EvalServedBy::kRun;
-  const support::JsonValue frame =
-      parse_or_fail(encode_result_batch(7, responses));
-  EXPECT_EQ(frame_type(frame), "result_batch");
-  EXPECT_EQ(frame_seq(frame), 7u);
-  std::vector<core::EvalResponse> out;
-  std::string error;
-  ASSERT_TRUE(decode_result(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].outcome.result.end_to_end,
-            responses[0].outcome.result.end_to_end);
-  EXPECT_EQ(out[1].outcome.result.end_to_end,
-            responses[1].outcome.result.end_to_end);
-  EXPECT_EQ(out[1].served_by, core::EvalServedBy::kRun);
-}
-
-TEST(Protocol, ResultFrameRoundTrip) {
-  const support::JsonValue frame =
-      parse_or_fail(encode_result(3, make_ok_response()));
-  EXPECT_EQ(frame_type(frame), "result");
-  EXPECT_EQ(frame_seq(frame), 3u);
-  std::vector<core::EvalResponse> out;
-  std::string error;
-  ASSERT_TRUE(decode_result(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 1u);
-}
-
-TEST(Protocol, PingPongByeFrames) {
-  support::JsonValue ping = parse_or_fail(encode_ping(42));
-  EXPECT_EQ(frame_type(ping), "ping");
-  EXPECT_EQ(frame_seq(ping), 42u);
-  support::JsonValue pong = parse_or_fail(encode_pong(42));
-  EXPECT_EQ(frame_type(pong), "pong");
-  EXPECT_EQ(frame_seq(pong), 42u);
-  support::JsonValue bye = parse_or_fail(encode_bye());
-  EXPECT_EQ(frame_type(bye), "bye");
-}
-
-TEST(Protocol, DecodersRejectMalformedFrames) {
-  std::string error;
-  HelloFrame hello;
-  EXPECT_FALSE(
-      decode_hello(parse_or_fail(R"({"type":"hello"})"), &hello, &error));
-  EXPECT_FALSE(error.empty());
-  std::vector<core::EvalRequest> requests;
-  error.clear();
-  EXPECT_FALSE(decode_eval(
-      parse_or_fail(R"({"type":"eval","seq":"1"})"), &requests, &error));
-  error.clear();
-  EXPECT_FALSE(decode_eval(
-      parse_or_fail(
-          R"({"type":"eval","seq":"1","request":{"loops":[[300]],"nonloop":[],"rep":"0","reps":1,"instr":0,"noise":1,"agg":"mean"}})"),
-      &requests, &error))
-      << "CV bytes above 255 must be rejected";
-  std::vector<core::EvalResponse> responses;
-  error.clear();
-  EXPECT_FALSE(decode_result(
-      parse_or_fail(R"({"type":"result","seq":"1","result":{"ok":1}})"),
-      &responses, &error));
 }
 
 // --- framing over a socketpair ----------------------------------------------
@@ -421,24 +176,20 @@ ServerOptions test_server_options() {
   return options;
 }
 
-/// Writes `frame`, reads one reply, parses it. Raw-socket counterpart
-/// of Client for the error-path tests.
-support::JsonValue roundtrip(int fd, const std::string& frame) {
+/// Writes `frame`, reads one reply, decodes it. Raw-socket
+/// counterpart of Client for the error-path tests.
+AnyFrame roundtrip(int fd, const std::string& frame) {
   EXPECT_TRUE(write_frame(fd, frame));
   std::string payload;
   EXPECT_EQ(read_frame(fd, &payload), FrameStatus::kOk);
-  return parse_or_fail(payload);
+  return wire::decode(payload);
 }
 
 /// Connects and handshakes a raw session for program CL on broadwell.
 Socket greet(const Server& server) {
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_hello(hello));
-  EXPECT_EQ(frame_type(reply), "welcome");
+  EXPECT_EQ(roundtrip(socket.fd(), wire::hello_cl()).kind,
+            FrameKind::kWelcome);
   return socket;
 }
 
@@ -458,24 +209,19 @@ TEST(Server, RejectsUnknownProgramAndArchitecture) {
     HelloFrame hello;
     hello.program = "no-such-benchmark";
     hello.arch = "broadwell";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    EXPECT_EQ(frame_type(reply), "error");
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply, &error));
-    EXPECT_EQ(error.code, "unknown_program");
-    EXPECT_TRUE(error.fatal);
+    const AnyFrame reply = roundtrip(socket.fd(), wire::hello(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unknown_program");
+    EXPECT_TRUE(reply.error.fatal);
   }
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
     hello.program = "CL";
     hello.arch = "m68k";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply, &error));
-    EXPECT_EQ(error.code, "unknown_architecture");
+    const AnyFrame reply = roundtrip(socket.fd(), wire::hello(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unknown_architecture");
   }
   server.stop();
 }
@@ -483,26 +229,56 @@ TEST(Server, RejectsUnknownProgramAndArchitecture) {
 TEST(Server, RejectsUnsupportedProtocolVersion) {
   Server server(test_server_options());
   server.start();
-  Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  std::string text = encode_hello(hello);
-  // The version travels twice (legacy top-level member + caps object);
-  // a skewed client disagrees in both places.
-  const std::string needle = "\"protocol\":" +
-                             std::to_string(kProtocolVersion);
-  std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  while (at != std::string::npos) {
-    text.replace(at, needle.size(), "\"protocol\":999");
-    at = text.find(needle, at);
+  {
+    Socket socket = Socket::connect(server.address());
+    HelloFrame hello;
+    hello.program = "CL";
+    hello.arch = "broadwell";
+    hello.caps.protocol = 999;
+    const AnyFrame reply = roundtrip(socket.fd(), wire::hello(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unsupported_version");
+    EXPECT_TRUE(reply.error.fatal);
   }
-  const support::JsonValue reply = roundtrip(socket.fd(), text);
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply, &error));
-  EXPECT_EQ(error.code, "unsupported_version");
-  EXPECT_TRUE(error.fatal);
+  {
+    // The version leads the hello, so a peer whose later fields have
+    // another layout is refused on its version, never as bad_request.
+    std::string future;
+    future.push_back('\x01');              // hello tag
+    future.append(8, '\0');                // seq
+    future.append("\x03\x00\x00\x00", 4);  // protocol 3
+    future.append("fields this build cannot read");
+    Socket socket = Socket::connect(server.address());
+    const AnyFrame reply = roundtrip(socket.fd(), wire::seal(future));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unsupported_version");
+    EXPECT_TRUE(reply.error.fatal);
+  }
+  server.stop();
+}
+
+TEST(Server, LegacyJsonHelloGetsAFatalBadFrameNotAHang) {
+  // A peer from before binary-crc32 was the only encoding: its JSON
+  // hello fails the checksum, so it gets a fatal bad_frame and a
+  // closed connection instead of a session waiting on it forever.
+  Server server(test_server_options());
+  server.start();
+  Socket socket = Socket::connect(server.address());
+  ASSERT_TRUE(write_frame(
+      socket.fd(),
+      R"({"type":"hello","schema_version":3,"protocol":1,)"
+      R"("program":"CL","arch":"broadwell","personality":"icc"})"));
+  std::string payload;
+  ASSERT_EQ(read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000),
+            FrameStatus::kOk);
+  const AnyFrame reply = wire::decode(payload);
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "bad_frame");
+  EXPECT_TRUE(reply.error.fatal);
+  const FrameStatus after =
+      read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000);
+  EXPECT_TRUE(after == FrameStatus::kClosed || after == FrameStatus::kTorn)
+      << "the connection stayed open after a fatal error";
   server.stop();
 }
 
@@ -513,30 +289,32 @@ TEST(Server, GarbagePayloadIsNonFatalButOversizedFrameHangsUp) {
   server.start();
   Socket socket = greet(server);
 
-  // Garbage JSON: framing stays synchronized, session survives.
-  const support::JsonValue garbage_reply =
-      roundtrip(socket.fd(), "{not json!!");
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(garbage_reply, &error));
-  EXPECT_EQ(error.code, "bad_frame");
-  EXPECT_FALSE(error.fatal);
-  // Unknown frame type: refused per-frame, session survives.
-  const support::JsonValue unknown_reply =
-      roundtrip(socket.fd(), R"({"type":"launch_missiles","seq":"9"})");
-  ASSERT_TRUE(decode_error(unknown_reply, &error));
-  EXPECT_EQ(error.code, "bad_request");
-  EXPECT_EQ(error.seq, 9u);
+  // Garbage bytes fail the checksum: framing stays synchronized,
+  // session survives.
+  const AnyFrame garbage = roundtrip(socket.fd(), "{not a frame!!");
+  ASSERT_EQ(garbage.kind, FrameKind::kError);
+  EXPECT_EQ(garbage.error.code, "bad_frame");
+  EXPECT_FALSE(garbage.error.fatal);
+  // Intact frame with an unknown tag: refused per-frame, naming its
+  // seq, session survives.
+  std::string launch_missiles(1, '\x42');
+  launch_missiles.append("\x09\0\0\0\0\0\0\0", 8);  // seq 9
+  const AnyFrame unknown =
+      roundtrip(socket.fd(), wire::seal(launch_missiles));
+  ASSERT_EQ(unknown.kind, FrameKind::kError);
+  EXPECT_EQ(unknown.error.code, "bad_request");
+  EXPECT_EQ(unknown.error.seq, 9u);
   // ...still serving:
-  const support::JsonValue pong = roundtrip(socket.fd(), encode_ping(5));
-  EXPECT_EQ(frame_type(pong), "pong");
-  EXPECT_EQ(frame_seq(pong), 5u);
+  const AnyFrame pong = roundtrip(socket.fd(), wire::ping(5));
+  EXPECT_EQ(pong.kind, FrameKind::kPong);
+  EXPECT_EQ(pong.seq, 5u);
 
   // Oversized frame: stream unsynchronized -> fatal error, then EOF.
-  const support::JsonValue oversized_reply =
+  const AnyFrame oversized =
       roundtrip(socket.fd(), std::string(8192, ' '));
-  ASSERT_TRUE(decode_error(oversized_reply, &error));
-  EXPECT_EQ(error.code, "oversized_frame");
-  EXPECT_TRUE(error.fatal);
+  ASSERT_EQ(oversized.kind, FrameKind::kError);
+  EXPECT_EQ(oversized.error.code, "oversized_frame");
+  EXPECT_TRUE(oversized.error.fatal);
   // Hang-up may surface as a clean FIN or (when the server closes with
   // our unread payload still in flight) a TCP reset; either way, no
   // further frame is served.
@@ -551,16 +329,15 @@ TEST(Server, OverloadedRefusalIsRetryable) {
   Server server(options);
   server.start();
   Socket socket = greet(server);
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval(11, valid_request()));
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply, &error));
-  EXPECT_EQ(error.code, "overloaded");
-  EXPECT_EQ(error.seq, 11u);
-  EXPECT_TRUE(error.retryable);
-  EXPECT_FALSE(error.fatal);
+  const AnyFrame reply =
+      roundtrip(socket.fd(), wire::eval(11, valid_request()));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "overloaded");
+  EXPECT_EQ(reply.error.seq, 11u);
+  EXPECT_TRUE(reply.error.retryable);
+  EXPECT_FALSE(reply.error.fatal);
   // The refusal is per-frame: the session still answers pings.
-  EXPECT_EQ(frame_type(roundtrip(socket.fd(), encode_ping(12))), "pong");
+  EXPECT_EQ(roundtrip(socket.fd(), wire::ping(12)).kind, FrameKind::kPong);
   EXPECT_EQ(server.stats().overloads, 1u);
   server.stop();
 }
@@ -572,12 +349,11 @@ TEST(Server, BatchBeyondMaxBatchIsRefused) {
   server.start();
   Socket socket = greet(server);
   const std::vector<core::EvalRequest> requests(3, valid_request());
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval_batch(4, requests));
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply, &error));
-  EXPECT_EQ(error.code, "bad_request");
-  EXPECT_FALSE(error.fatal);
+  const AnyFrame reply =
+      roundtrip(socket.fd(), wire::eval_batch(4, requests));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "bad_request");
+  EXPECT_FALSE(reply.error.fatal);
   server.stop();
 }
 
@@ -585,23 +361,18 @@ TEST(Server, ServesEvalAndBatchFrames) {
   Server server(test_server_options());
   server.start();
   Socket socket = greet(server);
-  const support::JsonValue single =
-      roundtrip(socket.fd(), encode_eval(1, valid_request()));
-  EXPECT_EQ(frame_type(single), "result");
-  std::vector<core::EvalResponse> responses;
-  std::string error;
-  ASSERT_TRUE(decode_result(single, &responses, &error)) << error;
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_GT(responses[0].seconds(), 0.0);
+  const AnyFrame single =
+      roundtrip(socket.fd(), wire::eval(1, valid_request()));
+  ASSERT_EQ(single.kind, FrameKind::kResult);
+  ASSERT_EQ(single.responses.size(), 1u);
+  EXPECT_TRUE(single.responses[0].ok());
+  EXPECT_GT(single.responses[0].seconds(), 0.0);
 
   std::vector<core::EvalRequest> batch(4, valid_request());
   for (std::size_t i = 0; i < batch.size(); ++i) batch[i].rep_base = i;
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval_batch(2, batch));
-  EXPECT_EQ(frame_type(reply), "result_batch");
-  responses.clear();
-  ASSERT_TRUE(decode_result(reply, &responses, &error)) << error;
+  const AnyFrame reply = roundtrip(socket.fd(), wire::eval_batch(2, batch));
+  ASSERT_EQ(reply.kind, FrameKind::kResultBatch);
+  const std::vector<core::EvalResponse>& responses = reply.responses;
   ASSERT_EQ(responses.size(), 4u);
   // Identical assignments under different noise keys: all valid, not
   // all equal (the noise model is keyed by rep_base).
@@ -670,26 +441,20 @@ TEST(Server, ArchRestrictedDaemonRefusesAndAdvertises) {
     HelloFrame hello;
     hello.program = "CL";
     hello.arch = "broadwell";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply, &error));
-    EXPECT_EQ(error.code, "unsupported_architecture");
-    EXPECT_TRUE(error.fatal);
+    const AnyFrame reply = roundtrip(socket.fd(), wire::hello(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unsupported_architecture");
+    EXPECT_TRUE(reply.error.fatal);
   }
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
     hello.program = "CL";
     hello.arch = "opteron";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    EXPECT_EQ(frame_type(reply), "welcome");
-    WelcomeFrame welcome;
-    std::string error;
-    ASSERT_TRUE(decode_welcome(reply, &welcome, &error)) << error;
+    const AnyFrame reply = roundtrip(socket.fd(), wire::hello(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kWelcome);
     // The served set is advertised canonicalized to display names.
-    EXPECT_EQ(welcome.caps.archs,
+    EXPECT_EQ(reply.welcome.caps.archs,
               std::vector<std::string>{machine::opteron().name});
   }
   server.stop();
@@ -735,7 +500,8 @@ TEST(Client, CallTimesOutWhenDaemonGoesSilentMidSession) {
     WelcomeFrame welcome;
     welcome.session = 1;
     welcome.max_batch = 64;
-    ASSERT_TRUE(write_frame(session.fd(), encode_welcome(welcome)));
+    encode_welcome_frame(welcome, &payload);
+    ASSERT_TRUE(write_frame(session.fd(), payload));
     (void)read_frame(session.fd(), &payload);  // eat the ping, go silent
     (void)read_frame(session.fd(), &payload);  // wait for the hangup
   });
@@ -750,6 +516,35 @@ TEST(Client, CallTimesOutWhenDaemonGoesSilentMidSession) {
     FAIL() << "ping into the void must time out";
   } catch (const ServiceError& error) {
     EXPECT_EQ(error.code(), "timeout");
+  }
+  fake_daemon.join();
+}
+
+TEST(Client, WelcomeOfAnotherProtocolVersionFailsTheHandshake) {
+  // A daemon of another version greets back: nothing after its
+  // version field is ours to read, so the client must refuse to
+  // connect instead of trusting the rest of the welcome.
+  Listener listener = Listener::bind(Address::parse("tcp:127.0.0.1:0"));
+  std::thread fake_daemon([&] {
+    Socket session = listener.accept_within(5000);
+    ASSERT_TRUE(session.valid());
+    std::string payload;
+    ASSERT_EQ(read_frame(session.fd(), &payload), FrameStatus::kOk);
+    WelcomeFrame welcome;
+    welcome.session = 1;
+    welcome.max_batch = 64;
+    welcome.caps.protocol = kProtocolVersion + 1;
+    encode_welcome_frame(welcome, &payload);
+    ASSERT_TRUE(write_frame(session.fd(), payload));
+    (void)read_frame(session.fd(), &payload);  // wait for the hangup
+  });
+  core::FuncyTunerOptions options;
+  try {
+    (void)Client::connect(listener.address().display(), "CL",
+                          "broadwell", options);
+    FAIL() << "a welcome of another protocol version must be refused";
+  } catch (const ServiceError& error) {
+    EXPECT_EQ(error.code(), "unsupported_version");
   }
   fake_daemon.join();
 }
@@ -800,6 +595,8 @@ std::string tune_json(const std::string& algorithm,
 }
 
 TEST(Service, RemoteTuningIsBitIdenticalToLocal) {
+  // The wire is pure transport: doubles travel as raw IEEE-754 bits,
+  // so the remote run lands on exactly the local bytes.
   Server server(test_server_options());
   server.start();
   core::FuncyTunerOptions options;
@@ -1060,8 +857,8 @@ TEST(Service, IdleTimeoutShutsTheServerDown) {
   server.start();
   {
     Socket socket = greet(server);
-    EXPECT_EQ(frame_type(roundtrip(socket.fd(), encode_ping(1))), "pong");
-    ASSERT_TRUE(write_frame(socket.fd(), encode_bye()));
+    EXPECT_EQ(roundtrip(socket.fd(), wire::ping(1)).kind, FrameKind::kPong);
+    ASSERT_TRUE(write_frame(socket.fd(), wire::bye()));
   }
   server.wait();  // must return on its own - no stop() call
   EXPECT_FALSE(server.running());
@@ -1078,8 +875,9 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
   std::size_t frames_sent = 0;
 
   // Phase 1: one long-lived session eats garbage payloads (valid
-  // framing, hostile content). Every one must earn a non-fatal error
-  // frame; interleaved pings prove the session keeps serving.
+  // framing, hostile content that fails the checksum). Every one must
+  // earn a non-fatal error frame; interleaved pings prove the session
+  // keeps serving.
   {
     Socket socket = greet(server);
     for (int i = 0; i < 700; ++i) {
@@ -1087,15 +885,13 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
       for (char& byte : payload) {
         byte = static_cast<char>(rng() & 0xff);
       }
-      const support::JsonValue reply = roundtrip(socket.fd(), payload);
+      const AnyFrame reply = roundtrip(socket.fd(), payload);
       ++frames_sent;
-      ASSERT_EQ(frame_type(reply), "error") << "frame " << i;
-      ErrorFrame error;
-      ASSERT_TRUE(decode_error(reply, &error));
-      ASSERT_FALSE(error.fatal) << "frame " << i;
+      ASSERT_EQ(reply.kind, FrameKind::kError) << "frame " << i;
+      ASSERT_FALSE(reply.error.fatal) << "frame " << i;
       if (i % 100 == 0) {
-        ASSERT_EQ(frame_type(roundtrip(socket.fd(), encode_ping(1))),
-                  "pong");
+        ASSERT_EQ(roundtrip(socket.fd(), wire::ping(1)).kind,
+                  FrameKind::kPong);
         ++frames_sent;
       }
     }
@@ -1126,7 +922,7 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
         ASSERT_EQ(send(socket.fd(), "trunc", 5, 0), 5);
         break;
       }
-      case 3: {  // structurally valid JSON that is not a hello
+      case 3: {  // a JSON payload, not a binary hello
         ASSERT_TRUE(write_frame(socket.fd(), R"([1,2,3])"));
         break;
       }
@@ -1151,16 +947,7 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
   EXPECT_FALSE(server.running());
 }
 
-// --- binary framing: every frame type round-trips bit-exactly ---------------
-
-AnyFrame binary_roundtrip(const std::string& payload) {
-  AnyFrame frame;
-  std::string error;
-  EXPECT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
-  return frame;
-}
+// --- the codec: every frame type round-trips bit-exactly --------------------
 
 TEST(Binary, HelloRoundTripIsBitExact) {
   HelloFrame hello;
@@ -1173,12 +960,10 @@ TEST(Binary, HelloRoundTripIsBitExact) {
   hello.options.faults.rate = 1.0 / 3.0;
   hello.options.faults.seed = 0xffffffffffffffffull;
   hello.options.faults.outlier_max_scale = 9.999999999999998;
-  hello.caps.framings = {Framing::kBinary, Framing::kJson};
-  hello.caps.max_frame_bytes = 123456789;
 
   std::string payload;
-  encode_hello_frame(Framing::kBinary, hello, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  encode_hello_frame(hello, &payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kHello);
   const HelloFrame& out = frame.hello;
   EXPECT_EQ(out.program, hello.program);
@@ -1194,26 +979,22 @@ TEST(Binary, HelloRoundTripIsBitExact) {
   EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
   EXPECT_EQ(out.options.faults.outlier_max_scale,
             hello.options.faults.outlier_max_scale);
-  EXPECT_EQ(out.caps.framings, hello.caps.framings);
-  EXPECT_EQ(out.caps.max_frame_bytes, hello.caps.max_frame_bytes);
+  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
 }
 
 TEST(Binary, WelcomeRoundTrip) {
   WelcomeFrame welcome;
   welcome.session = 0xdeadbeefcafef00dull;
   welcome.max_batch = 512;
-  welcome.framing = Framing::kBinary;
-  welcome.caps.framings = {Framing::kJson, Framing::kBinary};
   welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
   std::string payload;
-  encode_welcome_frame(Framing::kBinary, welcome, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  encode_welcome_frame(welcome, &payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kWelcome);
   EXPECT_EQ(frame.welcome.server, "ftuned");
   EXPECT_EQ(frame.welcome.session, welcome.session);
   EXPECT_EQ(frame.welcome.max_batch, welcome.max_batch);
-  EXPECT_EQ(frame.welcome.framing, Framing::kBinary);
-  EXPECT_EQ(frame.welcome.caps.framings, welcome.caps.framings);
+  EXPECT_EQ(frame.welcome.caps.protocol, kProtocolVersion);
   EXPECT_EQ(frame.welcome.caps.archs, welcome.caps.archs);
 }
 
@@ -1221,8 +1002,8 @@ TEST(Binary, ErrorRoundTrip) {
   const ErrorFrame error_frame{"overloaded", "max_inflight \"quoted\"\n",
                                42, true, false};
   std::string payload;
-  encode_error_frame(Framing::kBinary, error_frame, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  encode_error_frame(error_frame, &payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kError);
   EXPECT_EQ(frame.error.code, error_frame.code);
   EXPECT_EQ(frame.error.detail, error_frame.detail);
@@ -1234,8 +1015,8 @@ TEST(Binary, ErrorRoundTrip) {
 TEST(Binary, EvalAndBatchRoundTrip) {
   const core::EvalRequest request = make_request();
   std::string payload;
-  encode_eval_frame(Framing::kBinary, 17, request, &payload);
-  AnyFrame frame = binary_roundtrip(payload);
+  encode_eval_frame(17, request, &payload);
+  AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kEval);
   EXPECT_EQ(frame.seq, 17u);
   ASSERT_EQ(frame.requests.size(), 1u);
@@ -1246,8 +1027,8 @@ TEST(Binary, EvalAndBatchRoundTrip) {
   requests[1].aggregate = machine::Aggregation::kMedian;
   requests[2].repetitions = 1;
   requests[2].noise = true;
-  encode_eval_batch_frame(Framing::kBinary, 99, requests, &payload);
-  frame = binary_roundtrip(payload);
+  encode_eval_batch_frame(99, requests, &payload);
+  frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kEvalBatch);
   EXPECT_EQ(frame.seq, 99u);
   ASSERT_EQ(frame.requests.size(), 3u);
@@ -1259,8 +1040,8 @@ TEST(Binary, EvalAndBatchRoundTrip) {
 TEST(Binary, ResultRoundTripIsBitExact) {
   const core::EvalResponse response = make_ok_response();
   std::string payload;
-  encode_result_frame(Framing::kBinary, 3, response, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  encode_result_frame(3, response, &payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kResult);
   EXPECT_EQ(frame.seq, 3u);
   ASSERT_EQ(frame.responses.size(), 1u);
@@ -1285,8 +1066,8 @@ TEST(Binary, FailedResultAndBatchRoundTrip) {
   responses[1].outcome.error.detail = "cv 0xdeadbeef ICEd";
   responses[1].outcome.attempts = 3;
   std::string payload;
-  encode_result_batch_frame(Framing::kBinary, 7, responses, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  encode_result_batch_frame(7, responses, &payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kResultBatch);
   ASSERT_EQ(frame.responses.size(), 2u);
   EXPECT_TRUE(frame.responses[0].ok());
@@ -1302,16 +1083,16 @@ TEST(Binary, FailedResultAndBatchRoundTrip) {
 
 TEST(Binary, PingPongByeRoundTrip) {
   std::string payload;
-  encode_ping_frame(Framing::kBinary, 42, &payload);
-  AnyFrame frame = binary_roundtrip(payload);
+  encode_ping_frame(42, &payload);
+  AnyFrame frame = wire::decode(payload);
   EXPECT_EQ(frame.kind, FrameKind::kPing);
   EXPECT_EQ(frame.seq, 42u);
-  encode_pong_frame(Framing::kBinary, 42, &payload);
-  frame = binary_roundtrip(payload);
+  encode_pong_frame(42, &payload);
+  frame = wire::decode(payload);
   EXPECT_EQ(frame.kind, FrameKind::kPong);
   EXPECT_EQ(frame.seq, 42u);
-  encode_bye_frame(Framing::kBinary, &payload);
-  frame = binary_roundtrip(payload);
+  encode_bye_frame(&payload);
+  frame = wire::decode(payload);
   EXPECT_EQ(frame.kind, FrameKind::kBye);
 }
 
@@ -1320,22 +1101,23 @@ TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
   std::string error;
   std::mt19937_64 rng(20260808);
 
-  // Random byte soup: any verdict is fine, crashing or over-allocating
+  // Random byte soup, sealed so it gets past the checksum to the
+  // binary decoder: any verdict is fine, crashing or over-allocating
   // is not.
   for (int i = 0; i < 2000; ++i) {
-    std::string payload(rng() % 48, '\0');
-    for (char& byte : payload) byte = static_cast<char>(rng() & 0xff);
-    (void)decode_frame(Framing::kBinary, payload, &frame, &error);
+    std::string body(rng() % 48, '\0');
+    for (char& byte : body) byte = static_cast<char>(rng() & 0xff);
+    (void)decode_frame(wire::seal(body), &frame, &error);
   }
 
   // Every truncation of a valid eval_batch must decode cleanly as a
   // refusal, never read out of bounds.
   std::string valid;
   const std::vector<core::EvalRequest> requests(2, make_request());
-  encode_eval_batch_frame(Framing::kBinary, 5, requests, &valid);
+  binary_encode_eval_batch(5, requests, &valid);
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
-    EXPECT_NE(decode_frame(Framing::kBinary, valid.substr(0, cut),
-                           &frame, &error),
+    EXPECT_NE(decode_frame(wire::seal(valid.substr(0, cut)), &frame,
+                           &error),
               DecodeStatus::kOk)
         << "truncated at " << cut;
   }
@@ -1346,200 +1128,64 @@ TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
   forged.push_back('\x05');                       // eval_batch tag
   forged.append(8, '\x00');                       // seq
   forged.append("\xff\xff\xff\xff", 4);           // count = 4294967295
-  EXPECT_EQ(decode_frame(Framing::kBinary, forged, &frame, &error),
+  EXPECT_EQ(decode_frame(wire::seal(forged), &frame, &error),
             DecodeStatus::kMalformed);
   EXPECT_FALSE(error.empty());
+
+  // Intact frames whose contents are invalid: each is refused with a
+  // reason. A hello that stops after its version...
+  std::string body(1, '\x01');
+  body.append(8, '\0');
+  body.append("\x02\x00\x00\x00", 4);
+  EXPECT_EQ(decode_frame(wire::seal(body), &frame, &error),
+            DecodeStatus::kMalformed);
+  EXPECT_FALSE(error.empty());
+  // ...an eval with no request...
+  body.assign(1, '\x04');
+  body.append(8, '\0');
+  EXPECT_EQ(decode_frame(wire::seal(body), &frame, &error),
+            DecodeStatus::kMalformed);
+  // ...requests with zero repetitions or an unknown aggregate...
+  core::EvalRequest request = make_request();
+  request.repetitions = 0;
+  binary_encode_eval(1, request, &body);
+  EXPECT_EQ(decode_frame(wire::seal(body), &frame, &error),
+            DecodeStatus::kMalformed);
+  request = make_request();
+  request.aggregate = static_cast<machine::Aggregation>(7);
+  binary_encode_eval(1, request, &body);
+  EXPECT_EQ(decode_frame(wire::seal(body), &frame, &error),
+            DecodeStatus::kMalformed);
+  // ...and a result that says ok but carries no measurements.
+  binary_encode_result(1, make_ok_response(), &body);
+  body.resize(1 + 8 + 1 + 4 + 8 + 1);  // header, served..ok
+  EXPECT_EQ(decode_frame(wire::seal(body), &frame, &error),
+            DecodeStatus::kMalformed);
 }
 
-// --- capability negotiation -------------------------------------------------
-
-TEST(Protocol, NegotiateFramingPicksFirstMutualPreference) {
-  using enum Framing;
-  EXPECT_EQ(negotiate_framing({kBinary, kJson}, {kJson, kBinary}),
-            kBinary);
-  EXPECT_EQ(negotiate_framing({kBinary, kJson}, {kJson}), kJson);
-  EXPECT_EQ(negotiate_framing({kJson, kBinary}, {kJson, kBinary}),
-            kJson);
-  // Degenerate offers still land on the mandatory baseline.
-  EXPECT_EQ(negotiate_framing({}, {kJson, kBinary}), kJson);
-  EXPECT_EQ(negotiate_framing({kBinary}, {}), kJson);
-}
-
-TEST(Protocol, CapabilitiesTolerateUnknownKeysAndWrongTypes) {
-  // A hello from some future build: unknown caps keys, unknown framing
-  // names, wrongly-typed members. Everything unknown is skipped, the
-  // frame still decodes, and the mutually-intelligible parts survive.
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  std::string text = encode_hello(hello);
-  const std::string needle = "\"caps\":{";
-  const std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.insert(at + needle.size(),
-              "\"quantum_links\":3,\"future\":{\"deep\":[1,2]},");
-  const std::string framings = "\"framings\":[\"json\"]";
-  const std::size_t framings_at = text.find(framings);
-  ASSERT_NE(framings_at, std::string::npos);
-  text.replace(framings_at, framings.size(),
-               "\"framings\":[17,\"zstd-cbor\",\"json\",{\"x\":1}]");
-
-  HelloFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_hello(parse_or_fail(text), &out, &error)) << error;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
-  EXPECT_EQ(out.caps.framings, std::vector<Framing>{Framing::kJson});
-
-  // Wrongly-typed known members: ignored, defaults kept.
-  HelloFrame wrong;
-  wrong.program = "CL";
-  wrong.arch = "broadwell";
-  std::string wrong_text = encode_hello(wrong);
-  const std::string caps = "\"caps\":{";
-  const std::size_t caps_at = wrong_text.find(caps);
-  ASSERT_NE(caps_at, std::string::npos);
-  const std::size_t caps_end = wrong_text.find('}', caps_at);
-  wrong_text.replace(
-      caps_at, caps_end - caps_at + 1,
-      R"("caps":{"protocol":"banana","framings":"json","max_frame":[8]})");
-  ASSERT_TRUE(decode_hello(parse_or_fail(wrong_text), &out, &error))
-      << error;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);  // legacy member wins
-  EXPECT_EQ(out.caps.framings, std::vector<Framing>{Framing::kJson});
-  EXPECT_EQ(out.caps.max_frame_bytes, kDefaultMaxFrameBytes);
-}
-
-TEST(Negotiation, BinaryPreferredClientGetsBinarySession) {
-  Server server(test_server_options());
-  server.start();
-  core::FuncyTunerOptions options;
-  ConnectOptions connect_options;
-  connect_options.workspace =
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    options};
-  connect_options.framings = {Framing::kBinary, Framing::kJson};
-  std::shared_ptr<Client> client = Client::connect(
-      Endpoint::parse(server.address().display()), connect_options);
-  EXPECT_EQ(client->framing(), Framing::kBinary);
-  EXPECT_EQ(client->welcome().framing, Framing::kBinary);
-  // The welcome advertises the server's own supported set.
-  EXPECT_NE(std::find(client->welcome().caps.framings.begin(),
-                      client->welcome().caps.framings.end(),
-                      Framing::kBinary),
-            client->welcome().caps.framings.end());
-  client->ping();
-  const core::EvalResponse response = client->call(valid_request());
-  EXPECT_TRUE(response.ok());
-  EXPECT_EQ(server.stats().binary_sessions, 1u);
-  server.stop();
-}
-
-TEST(Negotiation, JsonOnlyDaemonDowngradesTheSession) {
-  ServerOptions options = test_server_options();
-  options.framings = {Framing::kJson};  // a pre-binary daemon
-  Server server(options);
-  server.start();
-  core::FuncyTunerOptions tuner_options;
-  ConnectOptions connect_options;
-  connect_options.workspace =
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    tuner_options};
-  connect_options.framings = {Framing::kBinary, Framing::kJson};
-  std::shared_ptr<Client> client = Client::connect(
-      Endpoint::parse(server.address().display()), connect_options);
-  EXPECT_EQ(client->framing(), Framing::kJson);
-  client->ping();
-  EXPECT_TRUE(client->call(valid_request()).ok());
-  EXPECT_EQ(server.stats().binary_sessions, 0u);
-  server.stop();
-}
-
-TEST(Negotiation, WelcomeNamingUnknownFramingFailsTheHandshake) {
-  // A broken (or far-future) daemon binds the session to a framing
-  // this build cannot speak: continuing would desynchronize the
-  // stream, so the client must refuse to connect.
-  Listener listener = Listener::bind(Address::parse("tcp:127.0.0.1:0"));
-  std::thread fake_daemon([&] {
-    Socket session = listener.accept_within(5000);
-    ASSERT_TRUE(session.valid());
-    std::string payload;
-    ASSERT_EQ(read_frame(session.fd(), &payload), FrameStatus::kOk);
-    WelcomeFrame welcome;
-    welcome.session = 1;
-    welcome.max_batch = 64;
-    std::string text = encode_welcome(welcome);
-    const std::string needle = "\"framing\":\"json\"";
-    const std::size_t at = text.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, needle.size(), "\"framing\":\"cbor\"");
-    ASSERT_TRUE(write_frame(session.fd(), text));
-    (void)read_frame(session.fd(), &payload);  // wait for the hangup
-  });
-  core::FuncyTunerOptions options;
-  try {
-    (void)Client::connect(listener.address().display(), "CL",
-                          "broadwell", options);
-    FAIL() << "a welcome naming an unknown framing must be refused";
-  } catch (const ServiceError& error) {
-    EXPECT_EQ(error.code(), "bad_frame");
-  }
-  fake_daemon.join();
-}
-
-// --- binary framing against the live daemon ---------------------------------
-
-/// Handshakes a raw binary session for program CL on broadwell.
-Socket greet_binary(const Server& server) {
-  Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  hello.caps.framings = {Framing::kBinary, Framing::kJson};
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_hello(hello));
-  EXPECT_EQ(frame_type(reply), "welcome");
-  WelcomeFrame welcome;
-  std::string error;
-  EXPECT_TRUE(decode_welcome(reply, &welcome, &error)) << error;
-  EXPECT_EQ(welcome.framing, Framing::kBinary);
-  return socket;
-}
+// --- the codec against the live daemon --------------------------------------
 
 TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
   ServerOptions server_options = test_server_options();
   server_options.max_frame_bytes = 4096;
   Server server(server_options);
   server.start();
-  Socket socket = greet_binary(server);
+  Socket socket = greet(server);
 
-  AnyFrame frame;
-  std::string payload, error;
-
-  // A real binary eval round-trip.
-  encode_eval_frame(Framing::kBinary, 21, valid_request(), &payload);
-  ASSERT_TRUE(write_frame(socket.fd(), payload));
-  ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
+  // A real eval round-trip.
+  AnyFrame frame = roundtrip(socket.fd(), wire::eval(21, valid_request()));
   ASSERT_EQ(frame.kind, FrameKind::kResult);
   EXPECT_EQ(frame.seq, 21u);
   ASSERT_EQ(frame.responses.size(), 1u);
   EXPECT_TRUE(frame.responses[0].ok());
 
-  // Garbage binary payloads: every one earns a non-fatal binary error
-  // frame; the session keeps serving. (First byte steered away from
-  // the valid ping/bye tags, which would be *well-formed* frames.)
+  // Garbage payloads: every one earns a non-fatal error frame; the
+  // session keeps serving.
   std::mt19937_64 rng(20260809);
   for (int i = 0; i < 300; ++i) {
     std::string garbage(1 + rng() % 48, '\0');
     for (char& byte : garbage) byte = static_cast<char>(rng() & 0xff);
-    if (garbage[0] == '\x08' || garbage[0] == '\x0a') garbage[0] = '\0';
-    ASSERT_TRUE(write_frame(socket.fd(), garbage));
-    ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-    ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-              DecodeStatus::kOk)
-        << error;
+    frame = roundtrip(socket.fd(), garbage);
     ASSERT_EQ(frame.kind, FrameKind::kError) << "frame " << i;
     ASSERT_FALSE(frame.error.fatal) << "frame " << i;
   }
@@ -1550,96 +1196,15 @@ TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
   forged.push_back('\x05');
   forged.append(8, '\x00');
   forged.append("\xff\xff\xff\xff", 4);
-  ASSERT_TRUE(write_frame(socket.fd(), forged));
-  ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
+  frame = roundtrip(socket.fd(), wire::seal(forged));
   ASSERT_EQ(frame.kind, FrameKind::kError);
   EXPECT_EQ(frame.error.code, "bad_request");
 
-  // ...and the session still answers a well-formed binary ping.
-  encode_ping_frame(Framing::kBinary, 77, &payload);
-  ASSERT_TRUE(write_frame(socket.fd(), payload));
-  ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
+  // ...and the session still answers a well-formed ping.
+  frame = roundtrip(socket.fd(), wire::ping(77));
   EXPECT_EQ(frame.kind, FrameKind::kPong);
   EXPECT_EQ(frame.seq, 77u);
   server.stop();
-}
-
-TEST(Service, BinaryRemoteTuningIsBitIdenticalToLocal) {
-  Server server(test_server_options());
-  server.start();
-  core::FuncyTunerOptions options;
-  options.samples = 25;
-  options.seed = 11;
-  const std::string local = tune_json("cfr", options, nullptr);
-
-  core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
-                         options);
-  ConnectOptions connect_options;
-  connect_options.workspace =
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    options};
-  connect_options.framings = {Framing::kBinary};
-  std::shared_ptr<Client> client = Client::connect(
-      Endpoint::parse(server.address().display()), connect_options);
-  ASSERT_EQ(client->framing(), Framing::kBinary);
-  tuner.evaluator().set_backend(std::make_shared<RemoteBackend>(client));
-  const core::TuningResult result = tuner.run("cfr");
-  // The framing is pure transport: raw little-endian doubles and
-  // %.17g JSON text land on identical bits.
-  EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
-                                            tuner.program()));
-  EXPECT_EQ(server.stats().binary_sessions, 1u);
-  EXPECT_GT(server.stats().batch_frames, 0u);
-  server.stop();
-}
-
-TEST(Fleet, MixedFramingFleetDowngradesPerEndpointBitIdentically) {
-  // One binary-capable daemon, one JSON-only daemon, one fleet asking
-  // for binary: negotiation is per-endpoint, so the JSON-only daemon
-  // downgrades its one session while the other stays binary - and the
-  // tuning output matches local bit for bit.
-  ServerOptions binary_options = test_server_options();
-  binary_options.max_batch = 7;  // force several chunks per batch
-  ServerOptions json_options = binary_options;
-  json_options.framings = {Framing::kJson};
-  Server binary_server(binary_options);
-  Server json_server(json_options);
-  binary_server.start();
-  json_server.start();
-  const std::vector<std::string> addresses = {
-      binary_server.address().display(),
-      json_server.address().display()};
-
-  core::FuncyTunerOptions options;
-  options.samples = 25;
-  options.seed = 11;
-  const std::string local = tune_json("cfr", options, nullptr);
-
-  core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
-                         options);
-  FleetOptions fleet_options;
-  fleet_options.framings = {Framing::kBinary, Framing::kJson};
-  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
-      addresses, "CL", "broadwell", options,
-      compiler::Personality::kIcc, fleet_options);
-  EXPECT_EQ(backend->endpoint_count(), 2u);
-  tuner.evaluator().set_backend(backend);
-  const core::TuningResult result = tuner.run("cfr");
-  EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
-                                            tuner.program()));
-  EXPECT_EQ(binary_server.stats().binary_sessions, 1u);
-  EXPECT_EQ(json_server.stats().binary_sessions, 0u);
-  EXPECT_GT(binary_server.stats().evaluations +
-                json_server.stats().evaluations,
-            0u);
-  binary_server.stop();
-  json_server.stop();
 }
 
 // --- FrameBuffer ------------------------------------------------------------

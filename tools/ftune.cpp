@@ -112,10 +112,6 @@ support::OptionSet common_options() {
       .real("io-timeout", 30.0,
             "remote per-frame send/recv deadline in seconds (0 = wait "
             "forever)")
-      .text("framing", "json",
-            "preferred wire framing for --remote sessions: json, binary "
-            "or binary-crc32 (negotiated per endpoint; daemons that "
-            "lack the preference fall back to json)")
       .integer("chaos-seed", 0,
                "seeded transport fault injection on --remote sessions "
                "(0 = off); equivalent to FT_CHAOS_SEED")
@@ -290,27 +286,6 @@ service::ClientOptions client_options_from(
   return options;
 }
 
-/// The --framing preference list. connect() appends the json baseline
-/// itself, so "--framing binary" means "binary where possible".
-std::vector<service::Framing> framings_from(
-    const support::OptionSet::Parsed& args) {
-  std::vector<service::Framing> framings;
-  for (const std::string& field :
-       support::split(args.text("framing"), ',')) {
-    const std::string name = support::trim(field);
-    if (name.empty()) continue;
-    service::Framing framing;
-    if (!service::framing_from_name(name, &framing)) {
-      std::cerr << "ftune: unknown framing '" << name
-                << "' (expected json, binary or binary-crc32)\n";
-      std::exit(1);
-    }
-    framings.push_back(framing);
-  }
-  if (framings.empty()) framings.push_back(service::Framing::kJson);
-  return framings;
-}
-
 /// Routes the tuner's raw measurements through ftuned daemon(s) when
 /// --remote was given: one address attaches a plain RemoteBackend, a
 /// comma-separated list a FleetBackend (sharding + failover). The
@@ -327,13 +302,11 @@ void attach_remote(core::FuncyTuner& tuner,
       tuner.program().name(), tuner.engine().arch().name,
       compiler::Personality::kIcc, options};
   const service::ClientOptions client_options = client_options_from(args);
-  const std::vector<service::Framing> framings = framings_from(args);
   std::shared_ptr<core::EvalBackend> backend;
   try {
     if (endpoints.size() == 1) {
       service::ConnectOptions connect_options;
       connect_options.workspace = workspace;
-      connect_options.framings = framings;
       connect_options.transport = client_options;
       backend = std::make_shared<service::RemoteBackend>(
           service::Client::connect(
@@ -342,7 +315,6 @@ void attach_remote(core::FuncyTuner& tuner,
     } else {
       service::FleetOptions fleet_options;
       fleet_options.client = client_options;
-      fleet_options.framings = framings;
       backend = service::FleetBackend::connect(
           endpoints, tuner.program().name(), tuner.engine().arch().name,
           options, compiler::Personality::kIcc, fleet_options);
@@ -760,7 +732,6 @@ int cmd_campaign(int argc, char** argv) {
     // (single-endpoint --remote is just a fleet of one).
     service::FleetOptions fleet_options;
     fleet_options.client = client_options_from(args);
-    fleet_options.framings = framings_from(args);
     options.backend_factory = service::make_fleet_backend_factory(
         endpoints, fleet_options);
     if (args.flag("fallback-local")) {

@@ -1,6 +1,6 @@
 // ftuned - the FuncyTuner evaluation daemon.
 //
-// Serves raw compile+link+run measurements over a framed JSON RPC
+// Serves raw compile+link+run measurements over a framed binary RPC
 // socket (see src/service/): any `ftune --remote ADDR` run, campaign
 // or bench tool can offload its evaluations here. One daemon holds a
 // workspace (execution engine + compiled-module cache) per distinct
@@ -88,9 +88,6 @@ int main(int argc, char** argv) {
       .text("archs", "",
             "comma-separated architectures this daemon serves "
             "(advertised in welcome; others refused; empty = all)")
-      .text("framing", "json,binary,binary-crc32",
-            "comma-separated framings accepted in negotiation (json is "
-            "always kept as the compatibility baseline)")
       .real("drain-grace", 10.0,
             "seconds inflight work may finish after SIGTERM before the "
             "daemon force-exits")
@@ -155,18 +152,6 @@ int main(int argc, char** argv) {
   for (const std::string& arch :
        support::split(parsed.text("archs"), ',')) {
     if (!arch.empty()) server_options.archs.push_back(arch);
-  }
-  server_options.framings.clear();  // Server re-adds the json baseline
-  for (const std::string& name :
-       support::split(parsed.text("framing"), ',')) {
-    if (name.empty()) continue;
-    service::Framing framing;
-    if (!service::framing_from_name(name, &framing)) {
-      std::cerr << "ftuned: unknown framing '" << name
-                << "' (expected json, binary or binary-crc32)\n";
-      return 1;
-    }
-    server_options.framings.push_back(framing);
   }
   server_options.drain_grace_seconds = parsed.real("drain-grace");
   server_options.request_deadline_seconds =
