@@ -615,6 +615,39 @@ TEST(Service, RemoteTuningIsBitIdenticalToLocal) {
   server.stop();
 }
 
+TEST(Service, BinaryRemoteTuningIsBitIdenticalToLocal) {
+  // The same property through the Endpoint + ConnectOptions form of
+  // Client::connect (the one fleets and tools use), on a gcc
+  // workspace: every binary-crc32 frame of the session lands the
+  // remote run on the local bytes.
+  Server server(test_server_options());
+  server.start();
+  core::FuncyTunerOptions options;
+  options.samples = 20;
+  options.seed = 23;
+  core::FuncyTuner local(programs::by_name("CL"), machine::broadwell(),
+                         options, compiler::Personality::kGcc);
+  const core::TuningResult local_result = local.run("cfr");
+
+  core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
+                         options, compiler::Personality::kGcc);
+  ConnectOptions connect_options;
+  connect_options.workspace = WorkspaceSpec{
+      "CL", "broadwell", compiler::Personality::kGcc, options};
+  std::shared_ptr<Client> client = Client::connect(
+      Endpoint::parse(server.address().display()), connect_options);
+  EXPECT_EQ(client->welcome().caps.protocol, kProtocolVersion);
+  tuner.evaluator().set_backend(std::make_shared<RemoteBackend>(client));
+  const core::TuningResult result = tuner.run("cfr");
+  EXPECT_EQ(core::tuning_result_json(local_result, local.space(),
+                                     local.program()),
+            core::tuning_result_json(result, tuner.space(),
+                                     tuner.program()));
+  EXPECT_EQ(server.stats().sessions_accepted, 1u);
+  EXPECT_GT(server.stats().batch_frames, 0u);
+  server.stop();
+}
+
 TEST(Service, RemoteTuningIsBitIdenticalUnderFaultInjection) {
   // The resilience split in one test: fault decisions, retries and
   // quarantine run CLIENT-side; the daemon's engine carries the same
@@ -947,9 +980,11 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
   EXPECT_FALSE(server.running());
 }
 
-// --- the codec: every frame type round-trips bit-exactly --------------------
+// --- the frame codec: every frame type round-trips sealed, bit-exactly -------
+// These go through protocol.hpp's encode_*_frame / decode_frame, i.e.
+// the exact bytes a socket carries: binary layout plus CRC32 trailer.
 
-TEST(Binary, HelloRoundTripIsBitExact) {
+TEST(Protocol, HelloRoundTripIsBitExact) {
   HelloFrame hello;
   hello.program = "LULESH";
   hello.arch = "sandybridge";
@@ -959,6 +994,11 @@ TEST(Binary, HelloRoundTripIsBitExact) {
   hello.options.attribution_sigma = 1e-17;
   hello.options.faults.rate = 1.0 / 3.0;
   hello.options.faults.seed = 0xffffffffffffffffull;
+  hello.options.faults.compile_share = 0.7;
+  hello.options.faults.crash_share = 0.2;
+  hello.options.faults.timeout_share = 0.1;
+  hello.options.faults.outlier_rate = 0.015625;
+  hello.options.faults.outlier_min_scale = 1.5;
   hello.options.faults.outlier_max_scale = 9.999999999999998;
 
   std::string payload;
@@ -966,27 +1006,36 @@ TEST(Binary, HelloRoundTripIsBitExact) {
   const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kHello);
   const HelloFrame& out = frame.hello;
+  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
   EXPECT_EQ(out.program, hello.program);
   EXPECT_EQ(out.arch, hello.arch);
   EXPECT_EQ(out.personality, hello.personality);
   EXPECT_EQ(out.options.seed, hello.options.seed);
-  // Doubles travel as raw IEEE-754 bit patterns: equality is exact by
-  // construction, no decimal round-trip argument required.
+  // EXPECT_EQ on doubles is exact equality: the raw IEEE-754 bits
+  // must survive the trip.
   EXPECT_EQ(out.options.noise_sigma_rel, hello.options.noise_sigma_rel);
   EXPECT_EQ(out.options.attribution_sigma,
             hello.options.attribution_sigma);
   EXPECT_EQ(out.options.faults.rate, hello.options.faults.rate);
   EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
+  EXPECT_EQ(out.options.faults.compile_share,
+            hello.options.faults.compile_share);
+  EXPECT_EQ(out.options.faults.crash_share,
+            hello.options.faults.crash_share);
+  EXPECT_EQ(out.options.faults.timeout_share,
+            hello.options.faults.timeout_share);
+  EXPECT_EQ(out.options.faults.outlier_rate,
+            hello.options.faults.outlier_rate);
+  EXPECT_EQ(out.options.faults.outlier_min_scale,
+            hello.options.faults.outlier_min_scale);
   EXPECT_EQ(out.options.faults.outlier_max_scale,
             hello.options.faults.outlier_max_scale);
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
 }
 
-TEST(Binary, WelcomeRoundTrip) {
+TEST(Protocol, WelcomeRoundTrip) {
   WelcomeFrame welcome;
   welcome.session = 0xdeadbeefcafef00dull;
   welcome.max_batch = 512;
-  welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
   std::string payload;
   encode_welcome_frame(welcome, &payload);
   const AnyFrame frame = wire::decode(payload);
@@ -995,10 +1044,27 @@ TEST(Binary, WelcomeRoundTrip) {
   EXPECT_EQ(frame.welcome.session, welcome.session);
   EXPECT_EQ(frame.welcome.max_batch, welcome.max_batch);
   EXPECT_EQ(frame.welcome.caps.protocol, kProtocolVersion);
-  EXPECT_EQ(frame.welcome.caps.archs, welcome.caps.archs);
 }
 
-TEST(Binary, ErrorRoundTrip) {
+TEST(Protocol, WelcomeArchsRoundTrip) {
+  WelcomeFrame welcome;
+  welcome.session = 7;
+  welcome.max_batch = 8;
+  welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
+  std::string payload;
+  encode_welcome_frame(welcome, &payload);
+  EXPECT_EQ(wire::decode(payload).welcome.caps.archs, welcome.caps.archs);
+
+  // A daemon that advertises no architectures decodes as an empty
+  // served set, not as a refusal.
+  welcome.caps.archs.clear();
+  encode_welcome_frame(welcome, &payload);
+  const AnyFrame bare = wire::decode(payload);
+  ASSERT_EQ(bare.kind, FrameKind::kWelcome);
+  EXPECT_TRUE(bare.welcome.caps.archs.empty());
+}
+
+TEST(Protocol, ErrorRoundTrip) {
   const ErrorFrame error_frame{"overloaded", "max_inflight \"quoted\"\n",
                                42, true, false};
   std::string payload;
@@ -1012,23 +1078,53 @@ TEST(Binary, ErrorRoundTrip) {
   EXPECT_FALSE(frame.error.fatal);
 }
 
-TEST(Binary, EvalAndBatchRoundTrip) {
+TEST(Protocol, EvalRequestRoundTrip) {
+  // Every request field at its edges: each aggregate, empty CVs, the
+  // widest rep_base, both polarities of the flags.
+  std::vector<core::EvalRequest> requests;
+  for (const machine::Aggregation aggregate :
+       {machine::Aggregation::kMean, machine::Aggregation::kMedian,
+        machine::Aggregation::kTrimmedMean}) {
+    core::EvalRequest request = make_request();
+    request.aggregate = aggregate;
+    requests.push_back(request);
+  }
+  core::EvalRequest edges;
+  edges.rep_base = 0xffffffffffffffffull;
+  edges.repetitions = 1;
+  edges.instrumented = false;
+  edges.noise = true;
+  requests.push_back(edges);
+
+  std::string payload;
+  for (const core::EvalRequest& request : requests) {
+    encode_eval_frame(1, request, &payload);
+    const AnyFrame frame = wire::decode(payload);
+    ASSERT_EQ(frame.requests.size(), 1u);
+    expect_request_eq(frame.requests[0], request);
+  }
+}
+
+TEST(Protocol, EvalFrameRoundTrip) {
   const core::EvalRequest request = make_request();
   std::string payload;
   encode_eval_frame(17, request, &payload);
-  AnyFrame frame = wire::decode(payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kEval);
   EXPECT_EQ(frame.seq, 17u);
   ASSERT_EQ(frame.requests.size(), 1u);
   expect_request_eq(frame.requests[0], request);
+}
 
+TEST(Protocol, EvalBatchFrameRoundTrip) {
   std::vector<core::EvalRequest> requests(3, make_request());
   requests[1].rep_base = 2;
   requests[1].aggregate = machine::Aggregation::kMedian;
   requests[2].repetitions = 1;
   requests[2].noise = true;
+  std::string payload;
   encode_eval_batch_frame(99, requests, &payload);
-  frame = wire::decode(payload);
+  const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kEvalBatch);
   EXPECT_EQ(frame.seq, 99u);
   ASSERT_EQ(frame.requests.size(), 3u);
@@ -1037,13 +1133,11 @@ TEST(Binary, EvalAndBatchRoundTrip) {
   }
 }
 
-TEST(Binary, ResultRoundTripIsBitExact) {
+TEST(Protocol, EvalResponseRoundTripIsBitExact) {
   const core::EvalResponse response = make_ok_response();
   std::string payload;
   encode_result_frame(3, response, &payload);
   const AnyFrame frame = wire::decode(payload);
-  ASSERT_EQ(frame.kind, FrameKind::kResult);
-  EXPECT_EQ(frame.seq, 3u);
   ASSERT_EQ(frame.responses.size(), 1u);
   const core::EvalResponse& out = frame.responses[0];
   EXPECT_TRUE(out.ok());
@@ -1059,29 +1153,49 @@ TEST(Binary, ResultRoundTripIsBitExact) {
   EXPECT_EQ(out.modules_compiled, 5u);
 }
 
-TEST(Binary, FailedResultAndBatchRoundTrip) {
+TEST(Protocol, FailedEvalResponseRoundTrip) {
+  core::EvalResponse response;
+  response.outcome.error.kind = core::EvalFault::kCompileFailure;
+  response.outcome.error.detail = "cv 0xdeadbeef ICEd";
+  response.outcome.attempts = 3;
+  std::string payload;
+  encode_result_frame(4, response, &payload);
+  const AnyFrame frame = wire::decode(payload);
+  ASSERT_EQ(frame.responses.size(), 1u);
+  const core::EvalResponse& out = frame.responses[0];
+  EXPECT_FALSE(out.ok());
+  EXPECT_EQ(out.outcome.error.kind, core::EvalFault::kCompileFailure);
+  EXPECT_EQ(out.outcome.error.detail, response.outcome.error.detail);
+  EXPECT_EQ(out.outcome.attempts, 3);
+}
+
+TEST(Protocol, ResultBatchFrameRoundTrip) {
   std::vector<core::EvalResponse> responses(2, make_ok_response());
-  responses[1] = core::EvalResponse{};
-  responses[1].outcome.error.kind = core::EvalFault::kCompileFailure;
-  responses[1].outcome.error.detail = "cv 0xdeadbeef ICEd";
-  responses[1].outcome.attempts = 3;
+  responses[1].outcome.result.end_to_end = 2.718281828459045;
+  responses[1].served_by = core::EvalServedBy::kRun;
   std::string payload;
   encode_result_batch_frame(7, responses, &payload);
   const AnyFrame frame = wire::decode(payload);
   ASSERT_EQ(frame.kind, FrameKind::kResultBatch);
+  EXPECT_EQ(frame.seq, 7u);
   ASSERT_EQ(frame.responses.size(), 2u);
-  EXPECT_TRUE(frame.responses[0].ok());
   EXPECT_EQ(frame.responses[0].outcome.result.end_to_end,
             responses[0].outcome.result.end_to_end);
-  EXPECT_FALSE(frame.responses[1].ok());
-  EXPECT_EQ(frame.responses[1].outcome.error.kind,
-            core::EvalFault::kCompileFailure);
-  EXPECT_EQ(frame.responses[1].outcome.error.detail,
-            responses[1].outcome.error.detail);
-  EXPECT_EQ(frame.responses[1].outcome.attempts, 3);
+  EXPECT_EQ(frame.responses[1].outcome.result.end_to_end,
+            responses[1].outcome.result.end_to_end);
+  EXPECT_EQ(frame.responses[1].served_by, core::EvalServedBy::kRun);
 }
 
-TEST(Binary, PingPongByeRoundTrip) {
+TEST(Protocol, ResultFrameRoundTrip) {
+  std::string payload;
+  encode_result_frame(3, make_ok_response(), &payload);
+  const AnyFrame frame = wire::decode(payload);
+  ASSERT_EQ(frame.kind, FrameKind::kResult);
+  EXPECT_EQ(frame.seq, 3u);
+  ASSERT_EQ(frame.responses.size(), 1u);
+}
+
+TEST(Protocol, PingPongByeFrames) {
   std::string payload;
   encode_ping_frame(42, &payload);
   AnyFrame frame = wire::decode(payload);
@@ -1096,41 +1210,25 @@ TEST(Binary, PingPongByeRoundTrip) {
   EXPECT_EQ(frame.kind, FrameKind::kBye);
 }
 
-TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
+TEST(Protocol, DecodersRejectMalformedFrames) {
   AnyFrame frame;
   std::string error;
-  std::mt19937_64 rng(20260808);
 
-  // Random byte soup, sealed so it gets past the checksum to the
-  // binary decoder: any verdict is fine, crashing or over-allocating
-  // is not.
-  for (int i = 0; i < 2000; ++i) {
-    std::string body(rng() % 48, '\0');
-    for (char& byte : body) byte = static_cast<char>(rng() & 0xff);
-    (void)decode_frame(wire::seal(body), &frame, &error);
+  // A broken seal is refused before any field is read: a flipped body
+  // byte, a flipped trailer byte, and a payload shorter than the
+  // trailer.
+  std::string payload;
+  encode_ping_frame(42, &payload);
+  for (const std::size_t at : {std::size_t{0}, payload.size() - 1}) {
+    std::string torn = payload;
+    torn[at] = static_cast<char>(torn[at] ^ 0x01);
+    EXPECT_EQ(decode_frame(torn, &frame, &error),
+              DecodeStatus::kUnparseable)
+        << "flipped byte " << at;
+    EXPECT_FALSE(error.empty());
   }
-
-  // Every truncation of a valid eval_batch must decode cleanly as a
-  // refusal, never read out of bounds.
-  std::string valid;
-  const std::vector<core::EvalRequest> requests(2, make_request());
-  binary_encode_eval_batch(5, requests, &valid);
-  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
-    EXPECT_NE(decode_frame(wire::seal(valid.substr(0, cut)), &frame,
-                           &error),
-              DecodeStatus::kOk)
-        << "truncated at " << cut;
-  }
-
-  // Forged element count with a tiny payload: the count-vs-remaining
-  // check must refuse before any allocation happens.
-  std::string forged;
-  forged.push_back('\x05');                       // eval_batch tag
-  forged.append(8, '\x00');                       // seq
-  forged.append("\xff\xff\xff\xff", 4);           // count = 4294967295
-  EXPECT_EQ(decode_frame(wire::seal(forged), &frame, &error),
-            DecodeStatus::kMalformed);
-  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(decode_frame(payload.substr(0, 3), &frame, &error),
+            DecodeStatus::kUnparseable);
 
   // Intact frames whose contents are invalid: each is refused with a
   // reason. A hello that stops after its version...
@@ -1161,6 +1259,200 @@ TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
   body.resize(1 + 8 + 1 + 4 + 8 + 1);  // header, served..ok
   EXPECT_EQ(decode_frame(wire::seal(body), &frame, &error),
             DecodeStatus::kMalformed);
+}
+
+// --- the binary layout beneath the seal --------------------------------------
+// These go through binary.hpp's binary_encode_* / binary_decode_frame,
+// which protocol.cpp wraps with the CRC32 trailer.
+
+AnyFrame layout_roundtrip(const std::string& body) {
+  AnyFrame frame;
+  std::string error;
+  EXPECT_EQ(binary_decode_frame(body, &frame, &error), DecodeStatus::kOk)
+      << error;
+  return frame;
+}
+
+TEST(Binary, HelloRoundTripIsBitExact) {
+  HelloFrame hello;
+  hello.program = "LULESH";
+  hello.arch = "sandybridge";
+  hello.personality = "gcc";
+  hello.options.seed = 0x0123456789abcdefull;
+  hello.options.noise_sigma_rel = 0.1 + 0.2;  // not exactly 0.3
+  hello.options.attribution_sigma = 1e-17;
+  hello.options.faults.rate = 1.0 / 3.0;
+  hello.options.faults.seed = 0xffffffffffffffffull;
+  hello.options.faults.outlier_max_scale = 9.999999999999998;
+
+  std::string body;
+  binary_encode_hello(hello, &body);
+  const AnyFrame frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kHello);
+  const HelloFrame& out = frame.hello;
+  EXPECT_EQ(out.program, hello.program);
+  EXPECT_EQ(out.arch, hello.arch);
+  EXPECT_EQ(out.personality, hello.personality);
+  EXPECT_EQ(out.options.seed, hello.options.seed);
+  // Doubles travel as raw IEEE-754 bit patterns: equality is exact by
+  // construction, no decimal round-trip argument required.
+  EXPECT_EQ(out.options.noise_sigma_rel, hello.options.noise_sigma_rel);
+  EXPECT_EQ(out.options.attribution_sigma,
+            hello.options.attribution_sigma);
+  EXPECT_EQ(out.options.faults.rate, hello.options.faults.rate);
+  EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
+  EXPECT_EQ(out.options.faults.outlier_max_scale,
+            hello.options.faults.outlier_max_scale);
+  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
+}
+
+TEST(Binary, WelcomeRoundTrip) {
+  WelcomeFrame welcome;
+  welcome.session = 0xdeadbeefcafef00dull;
+  welcome.max_batch = 512;
+  welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
+  std::string body;
+  binary_encode_welcome(welcome, &body);
+  const AnyFrame frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kWelcome);
+  EXPECT_EQ(frame.welcome.server, "ftuned");
+  EXPECT_EQ(frame.welcome.session, welcome.session);
+  EXPECT_EQ(frame.welcome.max_batch, welcome.max_batch);
+  EXPECT_EQ(frame.welcome.caps.protocol, kProtocolVersion);
+  EXPECT_EQ(frame.welcome.caps.archs, welcome.caps.archs);
+}
+
+TEST(Binary, ErrorRoundTrip) {
+  const ErrorFrame error_frame{"overloaded", "max_inflight \"quoted\"\n",
+                               42, true, false};
+  std::string body;
+  binary_encode_error(error_frame, &body);
+  const AnyFrame frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kError);
+  EXPECT_EQ(frame.error.code, error_frame.code);
+  EXPECT_EQ(frame.error.detail, error_frame.detail);
+  EXPECT_EQ(frame.error.seq, 42u);
+  EXPECT_TRUE(frame.error.retryable);
+  EXPECT_FALSE(frame.error.fatal);
+}
+
+TEST(Binary, EvalAndBatchRoundTrip) {
+  const core::EvalRequest request = make_request();
+  std::string body;
+  binary_encode_eval(17, request, &body);
+  AnyFrame frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kEval);
+  EXPECT_EQ(frame.seq, 17u);
+  ASSERT_EQ(frame.requests.size(), 1u);
+  expect_request_eq(frame.requests[0], request);
+
+  std::vector<core::EvalRequest> requests(3, make_request());
+  requests[1].rep_base = 2;
+  requests[1].aggregate = machine::Aggregation::kMedian;
+  requests[2].repetitions = 1;
+  requests[2].noise = true;
+  binary_encode_eval_batch(99, requests, &body);
+  frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kEvalBatch);
+  EXPECT_EQ(frame.seq, 99u);
+  ASSERT_EQ(frame.requests.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    expect_request_eq(frame.requests[i], requests[i]);
+  }
+}
+
+TEST(Binary, ResultRoundTripIsBitExact) {
+  const core::EvalResponse response = make_ok_response();
+  std::string body;
+  binary_encode_result(3, response, &body);
+  const AnyFrame frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kResult);
+  EXPECT_EQ(frame.seq, 3u);
+  ASSERT_EQ(frame.responses.size(), 1u);
+  const core::EvalResponse& out = frame.responses[0];
+  EXPECT_TRUE(out.ok());
+  EXPECT_EQ(out.outcome.result.end_to_end,
+            response.outcome.result.end_to_end);
+  EXPECT_EQ(out.outcome.result.loop_seconds,
+            response.outcome.result.loop_seconds);
+  EXPECT_EQ(out.outcome.result.derived_nonloop_seconds,
+            response.outcome.result.derived_nonloop_seconds);
+  EXPECT_EQ(out.outcome.result.stddev, response.outcome.result.stddev);
+  EXPECT_EQ(out.outcome.attempts, 2);
+  EXPECT_EQ(out.served_by, core::EvalServedBy::kCacheHit);
+  EXPECT_EQ(out.modules_compiled, 5u);
+}
+
+TEST(Binary, FailedResultAndBatchRoundTrip) {
+  std::vector<core::EvalResponse> responses(2, make_ok_response());
+  responses[1] = core::EvalResponse{};
+  responses[1].outcome.error.kind = core::EvalFault::kCompileFailure;
+  responses[1].outcome.error.detail = "cv 0xdeadbeef ICEd";
+  responses[1].outcome.attempts = 3;
+  std::string body;
+  binary_encode_result_batch(7, responses, &body);
+  const AnyFrame frame = layout_roundtrip(body);
+  ASSERT_EQ(frame.kind, FrameKind::kResultBatch);
+  ASSERT_EQ(frame.responses.size(), 2u);
+  EXPECT_TRUE(frame.responses[0].ok());
+  EXPECT_EQ(frame.responses[0].outcome.result.end_to_end,
+            responses[0].outcome.result.end_to_end);
+  EXPECT_FALSE(frame.responses[1].ok());
+  EXPECT_EQ(frame.responses[1].outcome.error.kind,
+            core::EvalFault::kCompileFailure);
+  EXPECT_EQ(frame.responses[1].outcome.error.detail,
+            responses[1].outcome.error.detail);
+  EXPECT_EQ(frame.responses[1].outcome.attempts, 3);
+}
+
+TEST(Binary, PingPongByeRoundTrip) {
+  std::string body;
+  binary_encode_ping(42, &body);
+  AnyFrame frame = layout_roundtrip(body);
+  EXPECT_EQ(frame.kind, FrameKind::kPing);
+  EXPECT_EQ(frame.seq, 42u);
+  binary_encode_pong(42, &body);
+  frame = layout_roundtrip(body);
+  EXPECT_EQ(frame.kind, FrameKind::kPong);
+  EXPECT_EQ(frame.seq, 42u);
+  binary_encode_bye(&body);
+  frame = layout_roundtrip(body);
+  EXPECT_EQ(frame.kind, FrameKind::kBye);
+}
+
+TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
+  AnyFrame frame;
+  std::string error;
+  std::mt19937_64 rng(20260808);
+
+  // Random byte soup straight into the layout decoder: any verdict is
+  // fine, crashing or over-allocating is not.
+  for (int i = 0; i < 2000; ++i) {
+    std::string body(rng() % 48, '\0');
+    for (char& byte : body) byte = static_cast<char>(rng() & 0xff);
+    (void)binary_decode_frame(body, &frame, &error);
+  }
+
+  // Every truncation of a valid eval_batch must decode cleanly as a
+  // refusal, never read out of bounds.
+  std::string valid;
+  const std::vector<core::EvalRequest> requests(2, make_request());
+  binary_encode_eval_batch(5, requests, &valid);
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    EXPECT_NE(binary_decode_frame(valid.substr(0, cut), &frame, &error),
+              DecodeStatus::kOk)
+        << "truncated at " << cut;
+  }
+
+  // Forged element count with a tiny payload: the count-vs-remaining
+  // check must refuse before any allocation happens.
+  std::string forged;
+  forged.push_back('\x05');                       // eval_batch tag
+  forged.append(8, '\x00');                       // seq
+  forged.append("\xff\xff\xff\xff", 4);           // count = 4294967295
+  EXPECT_EQ(binary_decode_frame(forged, &frame, &error),
+            DecodeStatus::kMalformed);
+  EXPECT_FALSE(error.empty());
 }
 
 // --- the codec against the live daemon --------------------------------------
